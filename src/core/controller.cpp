@@ -104,9 +104,8 @@ void PlacementController::set_online(bool online) {
     return;
   }
   // Back online: the world changed arbitrarily while this controller was
-  // blind, so drop policy warm-start state and run one resync cycle at
-  // the recovery timestamp (after the fault event that triggered it).
-  policy_->on_resync();
+  // blind, so run one resync cycle at the recovery timestamp (after the
+  // fault event that triggered it).
   engine_.schedule_at(engine_.now(), sim::EventPriority::kController, config_.shard,
                       [this] { run_cycle(); });
 }

@@ -98,8 +98,7 @@ class PlacementController {
   /// Domain blackout support: while offline the periodic loop keeps its
   /// schedule but every evaluation is skipped (counted in
   /// missed_cycles). Going back online resyncs from live cluster state:
-  /// the policy drops its warm-start state (PlacementPolicy::on_resync)
-  /// and one extra control cycle runs at the recovery timestamp.
+  /// one extra control cycle runs at the recovery timestamp.
   void set_online(bool online);
   [[nodiscard]] bool online() const { return online_; }
   [[nodiscard]] long missed_cycles() const { return missed_cycles_; }

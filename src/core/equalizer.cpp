@@ -196,14 +196,10 @@ class CurveCache {
 }  // namespace
 
 EqualizeResult equalize(const std::vector<const UtilityConsumer*>& consumers,
-                        util::CpuMhz capacity, const EqualizerOptions& opts,
-                        EqualizerState* state) {
+                        util::CpuMhz capacity, const EqualizerOptions& opts) {
   EqualizeResult result;
   result.allocations.resize(consumers.size());
-  if (consumers.empty()) {
-    if (state != nullptr) state->valid = false;
-    return result;
-  }
+  if (consumers.empty()) return result;
 
   double total_demand = 0.0;
   double u_hi = opts.u_floor;
@@ -226,9 +222,6 @@ EqualizeResult equalize(const std::vector<const UtilityConsumer*>& consumers,
       total += a.get();
     }
     result.total = util::CpuMhz{total};
-    // No bracket was searched, so there is nothing useful to warm-start
-    // the next contended cycle from.
-    if (state != nullptr) state->valid = false;
     return result;
   }
 
@@ -249,55 +242,6 @@ EqualizeResult equalize(const std::vector<const UtilityConsumer*>& consumers,
 
   int iters = 0;
 
-  // Warm start: tighten [u_lo, u_hi] around the previous cycle's u* by
-  // geometric expansion from it, preserving the bisection invariant
-  // (total(u_lo) ≤ capacity < total(u_hi)). Every probe counts as an
-  // iteration so the benefit is measurable.
-  // Tolerance-scaled first step: geometric doubling reaches any drift
-  // distance in O(log) probes, while small drifts (the common case)
-  // leave a bracket only a few tolerances wide. A nonpositive step
-  // (u_tolerance = 0 is legal — the cold path terminates on
-  // max_iterations alone) would stall the walks, so it disables the
-  // warm start instead.
-  const double warm_step = 64.0 * opts.u_tolerance;
-  if (opts.warm_start && state != nullptr && state->valid && warm_step > 0.0 &&
-      state->u_star > u_lo && state->u_star < u_hi) {
-    double step = warm_step;
-    double probe = state->u_star;
-    ++iters;
-    if (total_at(probe) <= capacity.get()) {
-      // Previous u* is feasible: it is the new lower bound; walk up
-      // until infeasible (u_hi itself is infeasible in the contended
-      // regime, so the walk terminates there at worst).
-      u_lo = probe;
-      while (probe < u_hi && iters < opts.max_iterations) {
-        probe = std::min(u_hi, probe + step);
-        step *= 2.0;
-        if (probe >= u_hi) break;
-        ++iters;
-        if (total_at(probe) > capacity.get()) {
-          u_hi = probe;
-          break;
-        }
-        u_lo = probe;
-      }
-    } else {
-      // Previous u* is infeasible: new upper bound; walk down.
-      u_hi = probe;
-      while (probe > u_lo && iters < opts.max_iterations) {
-        probe = std::max(u_lo, probe - step);
-        step *= 2.0;
-        if (probe <= u_lo) break;
-        ++iters;
-        if (total_at(probe) <= capacity.get()) {
-          u_lo = probe;
-          break;
-        }
-        u_hi = probe;
-      }
-    }
-  }
-
   // Bisect g(u) = total_alloc(u) − capacity, monotone non-decreasing.
   while (u_hi - u_lo > opts.u_tolerance && iters < opts.max_iterations) {
     const double mid = 0.5 * (u_lo + u_hi);
@@ -311,10 +255,6 @@ EqualizeResult equalize(const std::vector<const UtilityConsumer*>& consumers,
   result.iterations = iters;
   // Use the feasible side (total ≤ capacity).
   result.u_star = u_lo;
-  if (state != nullptr) {
-    state->valid = true;
-    state->u_star = result.u_star;
-  }
 
   double total = 0.0;
   for (std::size_t i = 0; i < consumers.size(); ++i) {

@@ -35,19 +35,6 @@ struct EqualizerOptions {
   /// bench/perf_baseline can measure the seed path and tests can assert
   /// the equivalence.
   bool use_curve_cache{true};
-  /// Start the outer bisection from a tight bracket around the previous
-  /// cycle's u* (passed via the EqualizerState argument) instead of the
-  /// full [u_floor, max utility] window. Under slowly varying load this
-  /// cuts iterations roughly 3×; the result agrees with the cold start
-  /// to within u_tolerance (pinned by tests/equalizer_test.cpp).
-  bool warm_start{false};
-};
-
-/// Cross-cycle carry-over for warm starts. One instance per controller;
-/// pass it to every equalize() call and it is refreshed automatically.
-struct EqualizerState {
-  bool valid{false};
-  double u_star{0.0};
 };
 
 struct ConsumerAllocation {
@@ -73,11 +60,8 @@ struct EqualizeResult {
 
 /// Equalize hypothetical utility across `consumers` subject to `capacity`.
 /// Consumers may be in any order; the result is order-independent up to
-/// the bisection tolerance. `state`, when given, is refreshed with this
-/// call's u* and consulted as the warm-start seed when
-/// opts.warm_start is set.
+/// the bisection tolerance.
 [[nodiscard]] EqualizeResult equalize(const std::vector<const UtilityConsumer*>& consumers,
-                                      util::CpuMhz capacity, const EqualizerOptions& opts = {},
-                                      EqualizerState* state = nullptr);
+                                      util::CpuMhz capacity, const EqualizerOptions& opts = {});
 
 }  // namespace heteroplace::core

@@ -31,7 +31,6 @@ class UtilityDrivenPolicy final : public PlacementPolicy {
   void set_lambda_provider(LambdaProvider provider) { lambda_provider_ = std::move(provider); }
 
   [[nodiscard]] PolicyOutput decide(const World& world, util::Seconds now) override;
-  void on_resync() override { eq_state_ = EqualizerState{}; }
   void set_obs(const obs::ObsContext& ctx) override;
   [[nodiscard]] std::string name() const override { return "utility-driven"; }
 
@@ -43,7 +42,6 @@ class UtilityDrivenPolicy final : public PlacementPolicy {
   std::shared_ptr<const utility::TxUtilityModel> tx_model_;
   SolverConfig solver_config_;
   EqualizerOptions eq_options_;
-  EqualizerState eq_state_;  // previous-cycle u* for warm starts
   LambdaProvider lambda_provider_;
   obs::ObsContext obs_;
   obs::Histogram* eq_iterations_metric_{nullptr};

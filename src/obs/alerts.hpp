@@ -39,6 +39,8 @@ struct SloSpec {
   double long_window_s{3600};   // sustained-burn window
   double short_window_s{300};   // still-burning gate (<= long window)
   double burn_threshold{1.0};   // open when both window burns reach this
+
+  [[nodiscard]] bool operator==(const SloSpec&) const = default;
 };
 
 class AlertEngine {

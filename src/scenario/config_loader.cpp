@@ -78,42 +78,27 @@ FederatedScenario federated_scenario_from_config(const util::Config& cfg) {
   const auto n_domains = k.integer("domains", 1);
   if (n_domains < 1 || n_domains > 64) throw util::ConfigError("domains: out of range [1, 64]");
 
-  FederatedScenario fs;
-  fs.name = base.name;
-  fs.apps = base.apps;
-  fs.jobs = base.jobs;
-  fs.controller = base.controller;
-  fs.power = base.power;
-  fs.faults = base.faults;
-  fs.horizon_s = base.horizon_s;
-  fs.sample_interval_s = base.sample_interval_s;
-  fs.seed = base.seed;
-  fs.engine_threads = base.engine_threads;
-  fs.obs = base.obs;
-  fs.slos = base.slos;
-  fs.router = k.str("router", "least-loaded");
+  const std::string router = k.str("router", "least-loaded");
   try {
-    (void)federation::make_router(fs.router);
+    (void)federation::make_router(router);
   } catch (const std::invalid_argument& e) {
     throw util::ConfigError(std::string("router: ") + e.what());
   }
 
-  // Default split of the global pool is even (remainder to the earliest
+  // federate() splits the global pool evenly (remainder to the earliest
   // domains) and may leave later domains with zero nodes; explicit
   // domain.<i>.nodes overrides apply before the positivity check so
   // "2 nodes, 4 domains, 1 node each by override" is a valid config.
   // Heterogeneous specs split each class pool the same way, overridden
   // per-pool by domain.<i>.class.<name>.count (0 = none of that class
   // here, so a GPU pool can live in one domain only).
-  const int base_nodes = base.cluster.nodes / static_cast<int>(n_domains);
-  const int remainder = base.cluster.nodes % static_cast<int>(n_domains);
-  for (long long i = 0; i < n_domains; ++i) {
+  FederatedScenario fs = federate(base, static_cast<int>(n_domains), router);
+  fs.name = base.name;  // a loaded federation keeps its configured name
+  for (std::size_t i = 0; i < fs.domains.size(); ++i) {
     const std::string p = "domain." + std::to_string(i) + ".";
-    DomainSpec d;
-    d.name = "dc" + std::to_string(i);
-    d.cluster = base.cluster;
+    DomainSpec& d = fs.domains[i];
     d.name = k.str(p + "name", d.name);
-    if (base.cluster.heterogeneous()) {
+    if (d.cluster.heterogeneous()) {
       for (const char* key : {"nodes", "cpu_per_node_mhz", "mem_per_node_mb"}) {
         if (k.has(p + key)) {
           throw util::ConfigError(p + key +
@@ -122,19 +107,14 @@ FederatedScenario federated_scenario_from_config(const util::Config& cfg) {
         }
       }
       for (ClassPoolSpec& pool : d.cluster.classes) {
-        const int pool_base = pool.count / static_cast<int>(n_domains);
-        const int pool_rem = pool.count % static_cast<int>(n_domains);
         const std::string ckey = p + "class." + pool.klass.name + ".count";
-        const int count = static_cast<int>(
-            k.integer(ckey, pool_base + (i < pool_rem ? 1 : 0)));
-        if (count < 0) throw util::ConfigError(ckey + ": must be nonnegative");
-        pool.count = count;
+        pool.count = static_cast<int>(k.integer(ckey, pool.count));
+        if (pool.count < 0) throw util::ConfigError(ckey + ": must be nonnegative");
       }
       if (d.cluster.total_nodes() < 1) {
         throw util::ConfigError(p + "class.<name>.count: domain has no nodes");
       }
     } else {
-      d.cluster.nodes = base_nodes + (i < remainder ? 1 : 0);
       d.cluster.nodes = static_cast<int>(k.integer(p + "nodes", d.cluster.nodes));
       if (d.cluster.nodes < 1) throw util::ConfigError(p + "nodes: must be positive");
       d.cluster.cpu_per_node_mhz = k.num(p + "cpu_per_node_mhz", d.cluster.cpu_per_node_mhz);
@@ -145,7 +125,6 @@ FederatedScenario federated_scenario_from_config(const util::Config& cfg) {
     if (k.has(p + "power_cap_w") && d.power_cap_w < 0.0) {
       throw util::ConfigError(p + "power_cap_w: must be nonnegative (0 = uncapped)");
     }
-    fs.domains.push_back(std::move(d));
   }
 
   // --- live migration ---------------------------------------------------------

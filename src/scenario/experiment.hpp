@@ -1,7 +1,10 @@
 #pragma once
 
-// Experiment runner: wires a Scenario into engine + world + controller +
-// metrics, runs the simulation, and returns series + summary.
+// Single-world experiments. run_experiment is the 1-domain federated run:
+// it shards the Scenario into one domain with federate(scenario, 1), runs
+// it through run_federated_experiment (the one place engine, world,
+// controller, power, faults, obs and metrics are wired), and returns that
+// domain's series + summary under the single-world names.
 
 #include <functional>
 #include <memory>
@@ -63,7 +66,13 @@ struct ExperimentResult {
 [[nodiscard]] int effective_engine_threads(int configured);
 
 /// Run `scenario` under `options` and collect results. Deterministic for
-/// a fixed (scenario.seed, options) pair.
+/// a fixed (scenario.seed, options) pair. Rejects link faults and
+/// blackouts (a single world cannot express them), then runs
+/// federate(scenario, 1) and returns domain 0's series and summary. The
+/// federation-level power and fault series come back under their
+/// single-world names (power_w, energy_wh, power_parked_nodes,
+/// availability, fault_failed_nodes, fault_downtime_s,
+/// jobs_lost_progress_s), and summary.fault_mttr_s is the run's MTTR.
 [[nodiscard]] ExperimentResult run_experiment(const Scenario& scenario,
                                               const ExperimentOptions& options = {});
 

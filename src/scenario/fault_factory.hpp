@@ -1,10 +1,10 @@
 #pragma once
 
-// Shared fault-subsystem construction for the experiment runners.
+// Fault-subsystem construction and validation.
 //
-// Both runners must translate a FaultSpec into the same FaultSchedule, and
-// both must reject a bad spec with the same fault.* key names, so the
-// translation lives here once.
+// The config loaders and the runners must reject a bad spec with the same
+// fault.* key names, and the runner must translate a FaultSpec into a
+// deterministic FaultSchedule, so both live here once.
 
 #include <cstddef>
 #include <cstdint>
@@ -22,8 +22,8 @@ namespace heteroplace::scenario {
 /// migration; link and domain faults need a federation), or overlapping
 /// explicit windows on the same target. `nodes_per_domain` describes the
 /// topology the events are checked against; `federated` and
-/// `migration_enabled` describe the run. The config loader and both
-/// runners call this.
+/// `migration_enabled` describe the run. The config loaders,
+/// run_experiment and run_federated_experiment call this.
 void validate_fault_spec(const FaultSpec& spec, const std::vector<std::size_t>& nodes_per_domain,
                          bool federated, bool migration_enabled, double horizon_s);
 

@@ -48,28 +48,19 @@ FederatedScenario federate(const Scenario& single, int n_domains, const std::str
   fs.seed = single.seed;
   fs.engine_threads = single.engine_threads;
   fs.obs = single.obs;
+  fs.slos = single.slos;
 
-  const int base = single.cluster.nodes / n_domains;
-  const int remainder = single.cluster.nodes % n_domains;
+  // Even split, remainder to the earliest domains: of the node count for
+  // a scalar spec, of each class pool for a heterogeneous one.
+  const auto share = [n_domains](int total, int i) {
+    return total / n_domains + (i < total % n_domains ? 1 : 0);
+  };
   for (int i = 0; i < n_domains; ++i) {
     DomainSpec d;
     d.name = "dc" + std::to_string(i);
     d.cluster = single.cluster;
-    if (single.cluster.heterogeneous()) {
-      // Split each class pool evenly, remainder to the earliest domains
-      // (the same rule the scalar node split uses).
-      for (ClassPoolSpec& pool : d.cluster.classes) {
-        const int pool_base = pool.count / n_domains;
-        const int pool_rem = pool.count % n_domains;
-        pool.count = pool_base + (i < pool_rem ? 1 : 0);
-      }
-      if (d.cluster.total_nodes() < 1) {
-        throw std::invalid_argument("federate: more domains than nodes");
-      }
-    } else {
-      d.cluster.nodes = base + (i < remainder ? 1 : 0);
-      if (d.cluster.nodes < 1) throw std::invalid_argument("federate: more domains than nodes");
-    }
+    d.cluster.nodes = share(single.cluster.nodes, i);
+    for (ClassPoolSpec& pool : d.cluster.classes) pool.count = share(pool.count, i);
     fs.domains.push_back(std::move(d));
   }
   return fs;
@@ -79,6 +70,12 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
                                          const ExperimentOptions& options) {
   if (fs.domains.empty()) {
     throw std::invalid_argument("run_federated_experiment: no domains");
+  }
+  for (const DomainSpec& d : fs.domains) {
+    if (d.cluster.total_nodes() < 1) {
+      throw std::invalid_argument("run_federated_experiment: domain '" + d.name +
+                                  "' has no nodes");
+    }
   }
   sim::Engine engine;
   engine.set_threads(static_cast<unsigned>(effective_engine_threads(fs.engine_threads)));
@@ -106,9 +103,9 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
   ctrl_cfg.cycle = util::Seconds{fs.controller.cycle_s};
   for (std::size_t i = 0; i < fs.domains.size(); ++i) {
     const DomainSpec& spec = fs.domains[i];
-    // Domain 0 reuses the single-cluster noise seed so a 1-domain
-    // federation reproduces run_experiment's λ-observation stream; later
-    // domains get independent streams.
+    // Domain 0's noise seed is the single-world one (its λ-observation
+    // stream is pinned by the golden digests); later domains get
+    // independent streams.
     const std::uint64_t noise_seed =
         (fs.seed ^ 0xD1CEBA5EULL) + 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(i);
     core::ControllerConfig cfg = ctrl_cfg;
@@ -335,6 +332,17 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
       const core::World& world = fed.domain(i).world();
       const AllocationSample sample = sample_allocations(world);
       recorders[i].sample(now, sample);
+      // Per-class placeable capacity, gated on explicit classes so a
+      // scalar run records nothing new (its digest is pinned).
+      const cluster::MachineClassRegistry& classes = world.cluster().classes();
+      if (classes.explicit_classes()) {
+        const auto by_class = world.cluster().placeable_capacity_by_class();
+        for (std::size_t ci = 0; ci < by_class.size(); ++ci) {
+          recorders[i].series().add(
+              "class_" + classes.at(static_cast<cluster::ClassId>(ci)).name + "_placeable_mhz",
+              t, by_class[ci].cpu.get());
+        }
+      }
       tx_alloc += sample.tx_alloc_mhz;
       lr_alloc += sample.lr_alloc_mhz;
       running += sample.jobs_running;
@@ -436,7 +444,7 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
   }
 
   // --- finalize -----------------------------------------------------------------
-  sample_all(engine.now());  // final sample, mirroring run_experiment
+  sample_all(engine.now());  // final sample at the end time
   if (obs.alerts) obs.alerts->evaluate(engine.now().get(), obs.ledger_list());
   const auto routed = fed.jobs_per_domain();
   std::vector<ExperimentSummary> summaries;
@@ -512,6 +520,19 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
     obs.metrics
         ->gauge("engine_parallel_batches_total", "Parallel batches dispatched to the pool")
         .set(static_cast<double>(engine.parallel_batches()));
+    for (std::size_t i = 0; i < fed.domain_count(); ++i) {
+      const cluster::Cluster& cl = fed.domain(i).world().cluster();
+      if (!cl.classes().explicit_classes()) continue;
+      const std::string domain = obs::prometheus_label("domain", fed.domain(i).name());
+      const auto by_class = cl.placeable_capacity_by_class();
+      for (std::size_t ci = 0; ci < by_class.size(); ++ci) {
+        const std::string& klass = cl.classes().at(static_cast<cluster::ClassId>(ci)).name;
+        obs.metrics
+            ->gauge("cluster_class_placeable_mhz", "Placeable CPU per machine class",
+                    domain + "," + obs::prometheus_label("class", klass))
+            .set(by_class[ci].cpu.get());
+      }
+    }
   }
   export_observability(fs.obs, obs);
   return out;

@@ -3,10 +3,11 @@
 // Federated (multi-datacenter) experiments: N controller domains on one
 // engine, one shared workload stream routed across them.
 //
-// The federated runner mirrors run_experiment exactly — same event
-// ordering, same seeds — so a 1-domain FederatedScenario reproduces the
-// single-World trajectories bit for bit (pinned by
-// tests/federation_test.cpp).
+// run_federated_experiment is the only experiment runner: run_experiment
+// is the 1-domain federated run (see scenario/experiment.hpp), so every
+// subsystem — policy, metrics, power, faults, migration, obs, SLA — is
+// wired here once. Single-world behaviour is pinned by the golden
+// digests in tests/golden_digest_test.cpp.
 
 #include <cstddef>
 #include <cstdint>
@@ -132,10 +133,15 @@ struct FederatedScenario {
 /// an uncaught exception mid-run.
 void validate_migration_modes(const MigrationSpec& spec);
 
-/// Shard a single-cluster scenario into `n_domains` equal domains (nodes
-/// split as evenly as possible, remainder to the earliest domains); apps,
-/// jobs, controller and seeds carry over unchanged. n_domains = 1 yields
-/// the scenario's exact single-cluster equivalent.
+/// Shard a single-cluster scenario into `n_domains` equal domains: the
+/// node count (or each class pool) split as evenly as possible,
+/// remainder to the earliest domains. Every other Scenario field (apps,
+/// jobs, controller, power, faults, obs, SLOs, seeds) carries over
+/// unchanged; this is the one place those fields are copied, and
+/// federated_scenario_from_config builds on it. n_domains = 1 yields the
+/// scenario's exact single-cluster equivalent. A split that leaves a
+/// domain without nodes is allowed here (the config loader's per-domain
+/// overrides may fill it) and rejected by run_federated_experiment.
 [[nodiscard]] FederatedScenario federate(const Scenario& single, int n_domains,
                                          const std::string& router = "least-loaded");
 

@@ -19,7 +19,7 @@ namespace heteroplace::scenario {
 /// Throw util::ConfigError naming the offending power.* key on an
 /// invalid spec (unknown policy/park state, nonpositive latencies where
 /// positive is required, out-of-range ladder depth, ...). The config
-/// loader and both runners call this.
+/// loader and the runner call this.
 void validate_power_spec(const PowerSpec& spec);
 
 /// Build the node power table a spec describes.

@@ -196,10 +196,8 @@ std::uint64_t digest_without_class_series(scenario::FederatedResult res) {
   for (scenario::DomainResult& d : res.domains) {
     util::TimeSeriesSet kept;
     for (const std::string& name : d.result.series.names()) {
-      const bool class_series = name.rfind("class_", 0) == 0 &&
-                                name.size() > 14 &&
-                                name.compare(name.size() - 14, 14, "_placeable_mhz") == 0;
-      if (!class_series) kept.series(name) = *d.result.series.find(name);
+      if (name.starts_with("class_") && name.ends_with("_placeable_mhz")) continue;
+      kept.series(name) = *d.result.series.find(name);
     }
     d.result.series = std::move(kept);
   }

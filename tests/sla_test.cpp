@@ -348,6 +348,35 @@ TEST(SlaReport, SingleWorldAttributionClosesAndParses) {
   EXPECT_EQ(csv.rfind("kind,", 0), 0u);  // header row first
 }
 
+TEST(SlaConfig, FederateCarriesSlos) {
+  auto s = scenario::section3_scaled(0.2);
+  s.slos.push_back({"web", 0.9, 7200.0, 1200.0, 1.0});
+  s.slos.push_back({"jobs", 0.5, 14400.0, 3600.0, 1.5});
+  EXPECT_EQ(scenario::federate(s, 3).slos, s.slos);
+  EXPECT_EQ(scenario::federate(s, 1).slos, s.slos);
+}
+
+// run_experiment goes through federate(s, 1): the scenario's SLOs must
+// survive it and reach the report's alert section.
+TEST(SlaReport, SingleWorldReportCarriesSloAlerts) {
+  auto s = scenario::section3_scaled(0.15);
+  s.seed = 7;
+  s.horizon_s = 20000.0;
+  s.slos.push_back({"jobs", 0.5, 7200.0, 1200.0, 1.0});
+  s.obs.sla_report_path = temp_path("single_slo_sla.json");
+  (void)scenario::run_experiment(s, scenario::ExperimentOptions{});
+
+  const obs::JsonValue doc = obs::parse_json(read_file(s.obs.sla_report_path));
+  const obs::JsonValue* alerts = doc.find("alerts");
+  ASSERT_NE(alerts, nullptr);
+  ASSERT_EQ(alerts->type, obs::JsonValue::Type::kObject);
+  const obs::JsonValue* slos = alerts->find("slos");
+  ASSERT_NE(slos, nullptr);
+  ASSERT_EQ(slos->array.size(), 1u);
+  EXPECT_EQ(slos->array[0].find("app")->string, "jobs");
+  EXPECT_NE(alerts->find("events"), nullptr);
+}
+
 TEST(SlaReport, ByteIdenticalAcrossThreadCounts) {
   auto fs = everything_on_sla_scenario();
   scenario::ExperimentOptions opt;
