@@ -19,8 +19,6 @@
 //  - wall_s is best-of-1: a run is minutes long and self-averaging
 //    (~100k control cycles); run-to-run noise is well under the
 //    thread-scaling effects being measured.
-//  - OpenMP inside the solver is pinned to one thread so the sweep
-//    isolates engine-thread scaling from intra-solve parallelism.
 //  - hardware_threads is recorded in the JSON: speedups are only
 //    meaningful where threads <= hardware_threads. On a 1-core host the
 //    sweep still validates bit-identity and batch formation, and the
@@ -37,10 +35,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "obs/profile.hpp"
 #include "scenario/federation_experiment.hpp"
@@ -226,11 +220,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-
-#ifdef _OPENMP
-  // Isolate engine-thread scaling: the solver must not also fan out.
-  omp_set_num_threads(1);
-#endif
 
   const Shape sh = smoke ? smoke_shape() : full_shape();
   const scenario::FederatedScenario base = macro_scenario(sh);

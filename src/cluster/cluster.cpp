@@ -87,8 +87,9 @@ util::VmId Cluster::create_web_vm(util::AppId app, util::MemMb memory) {
   vm.kind = VmKind::kWebInstance;
   vm.memory = memory;
   vm.app = app;
-  vms_.emplace(id, vm);
+  auto [it, _] = vms_.emplace(id, vm);
   vm_order_.push_back(id);
+  live_web_.push_back(&it->second);
   return id;
 }
 
@@ -103,8 +104,6 @@ Vm& Cluster::vm_mut(util::VmId id) {
   if (it == vms_.end()) throw std::out_of_range("Cluster::vm: unknown vm id");
   return it->second;
 }
-
-std::vector<util::VmId> Cluster::vm_ids() const { return vm_order_; }
 
 bool Cluster::place_vm(util::VmId id, util::NodeId node_id) {
   Vm& v = vm_mut(id);
@@ -133,6 +132,7 @@ void Cluster::set_vm_state(util::VmId id, VmState state) {
     throw std::logic_error(os.str());
   }
   v.state = state;
+  if (state == VmState::kStopped && v.kind == VmKind::kWebInstance) std::erase(live_web_, &v);
 }
 
 bool Cluster::set_cpu_share(util::VmId id, util::CpuMhz cpu) {

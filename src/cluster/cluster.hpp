@@ -5,6 +5,11 @@
 // The Cluster is the "plant" that the placement controller manipulates.
 // It enforces the physical invariants (no CPU or memory over-commitment,
 // legal VM lifecycle transitions); policy lives elsewhere.
+//
+// Per-cycle work is O(live jobs + live instances): VMs are never erased
+// (vm_ids() lists every VM ever created), so the control cycle and the
+// samplers read live_web_vms() instead, an index of the web instances
+// not yet stopped.
 
 #include <optional>
 #include <string>
@@ -21,6 +26,9 @@ namespace heteroplace::cluster {
 class Cluster {
  public:
   Cluster() = default;
+  // live_web_ points into vms_, so a copy would alias the original's VMs.
+  Cluster(const Cluster&) = delete;
+  Cluster& operator=(const Cluster&) = delete;
 
   // --- topology -----------------------------------------------------------
 
@@ -70,7 +78,14 @@ class Cluster {
 
   [[nodiscard]] const Vm& vm(util::VmId id) const;
   [[nodiscard]] bool vm_exists(util::VmId id) const { return vms_.count(id) > 0; }
-  [[nodiscard]] std::vector<util::VmId> vm_ids() const;
+  /// Every VM ever created, in creation order (stopped ones included).
+  [[nodiscard]] const std::vector<util::VmId>& vm_ids() const { return vm_order_; }
+
+  /// Web-instance VMs not yet stopped, in creation order: vm_ids()
+  /// filtered to kind kWebInstance and state != kStopped. Entries join in
+  /// create_web_vm and leave when set_vm_state stops them (kStopped is
+  /// terminal), so the list never holds a dead instance.
+  [[nodiscard]] const std::vector<const Vm*>& live_web_vms() const { return live_web_; }
 
   /// Reserve the VM's memory on `node` (CPU share starts at 0) and record
   /// the VM as hosted there. Fails if the VM is already placed or memory
@@ -111,6 +126,7 @@ class Cluster {
   MachineClassRegistry classes_;
   std::unordered_map<util::VmId, Vm> vms_;
   std::vector<util::VmId> vm_order_;  // insertion order for deterministic iteration
+  std::vector<const Vm*> live_web_;   // see live_web_vms()
   util::VmId::underlying_type next_vm_{0};
 };
 

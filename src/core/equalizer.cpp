@@ -17,17 +17,10 @@ namespace {
 /// Σ alloc_for_utility(u) over all consumers via the virtual interface —
 /// the seed implementation, kept behind EqualizerOptions::use_curve_cache
 /// so the curve-cache path can be benchmarked and regression-tested
-/// against it. OpenMP-parallel for large consumer populations (each term
-/// may itself run a bisection).
+/// against it.
 double total_alloc_at(const std::vector<const UtilityConsumer*>& consumers, double u) {
-  const auto n = static_cast<std::ptrdiff_t>(consumers.size());
   double total = 0.0;
-#ifdef _OPENMP
-#pragma omp parallel for reduction(+ : total) schedule(static) if (n > 256)
-#endif
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    total += consumers[static_cast<std::size_t>(i)]->alloc_for_utility(u).get();
-  }
+  for (const UtilityConsumer* c : consumers) total += c->alloc_for_utility(u).get();
   return total;
 }
 
@@ -122,14 +115,8 @@ class CurveCache {
   /// Σ alloc_for_utility(u) across all consumers.
   [[nodiscard]] double total_alloc_at(double u) const {
     solve_groups(u);
-    const auto n = static_cast<std::ptrdiff_t>(job_group_.size());
     double total = 0.0;
-#ifdef _OPENMP
-#pragma omp parallel for reduction(+ : total) schedule(static) if (n > 256)
-#endif
-    for (std::ptrdiff_t i = 0; i < n; ++i) {
-      total += job_alloc(static_cast<std::size_t>(i));
-    }
+    for (std::size_t i = 0; i < job_group_.size(); ++i) total += job_alloc(i);
     for (const auto& p : tx_) total += tx_alloc_for_utility(p, u);
     for (const auto* c : generic_) total += c->alloc_for_utility(u).get();
     return total;

@@ -15,7 +15,6 @@ namespace heteroplace::core {
 
 namespace {
 using cluster::ActionType;
-using cluster::VmKind;
 using cluster::VmState;
 using workload::JobPhase;
 
@@ -284,11 +283,9 @@ void ActionExecutor::apply(const cluster::PlacementPlan& plan) {
 
   // Index existing web instances.
   std::map<std::pair<util::AppId, util::NodeId>, util::VmId> existing_insts;
-  for (util::VmId vm_id : cl.vm_ids()) {
-    const auto& vm = cl.vm(vm_id);
-    if (vm.kind != VmKind::kWebInstance) continue;
-    if (vm.state == VmState::kRunning || vm.state == VmState::kStarting) {
-      existing_insts.emplace(std::make_pair(vm.app, vm.node), vm_id);
+  for (const cluster::Vm* vm : cl.live_web_vms()) {
+    if (vm->state == VmState::kRunning || vm->state == VmState::kStarting) {
+      existing_insts.emplace(std::make_pair(vm->app, vm->node), vm->id);
     }
   }
 

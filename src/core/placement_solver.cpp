@@ -240,21 +240,6 @@ SolverResult solve_placement(const PlacementProblem& problem, const SolverConfig
 
   std::uint32_t next_seq = 0;
 
-  // The job-packing phase asks "does any node have room?" once per
-  // waiting job; tracking the fleet-wide max free memory answers it in
-  // O(1) instead of scanning every node (the bound is recomputed lazily,
-  // only after a placement or eviction actually changes node memory).
-  double fleet_max_mem_free = 0.0;
-  bool fleet_mem_dirty = true;
-  auto max_mem_free = [&]() {
-    if (fleet_mem_dirty) {
-      fleet_max_mem_free = 0.0;
-      for (const auto& ns : nodes) fleet_max_mem_free = std::max(fleet_max_mem_free, ns.mem_free);
-      fleet_mem_dirty = false;
-    }
-    return fleet_max_mem_free;
-  };
-
   // ---- Phase 1: decide per-app instance counts -----------------------------
   struct AppScratch {
     std::size_t index;
@@ -388,7 +373,6 @@ SolverResult solve_placement(const PlacementProblem& problem, const SolverConfig
       audit->record(rec);
     }
   }
-  fleet_mem_dirty = true;
 
   std::vector<std::size_t> displaced;  // running jobs pushed off their node
 
@@ -397,7 +381,6 @@ SolverResult solve_placement(const PlacementProblem& problem, const SolverConfig
     assert(r.is_job);
     displaced.push_back(r.index);
     ++stats.jobs_evicted;
-    fleet_mem_dirty = true;
   };
 
   // ---- Phase 3: grow instance clusters, evicting jobs when needed ----------
@@ -504,7 +487,6 @@ SolverResult solve_placement(const PlacementProblem& problem, const SolverConfig
       nodes[best].add_resident(r);
       presence[best / 64] |= std::uint64_t{1} << (best % 64);
       as.kept_nodes.push_back(nodes[best].id);
-      fleet_mem_dirty = true;
       ++stats.instances_added;
       if (audit != nullptr) {
         obs::AuditRecord rec;
@@ -608,12 +590,12 @@ SolverResult solve_placement(const PlacementProblem& problem, const SolverConfig
   std::vector<SlotKey> deferred;  // valid pops that did not fit this job's memory
 
   // The admission checks below need the max free memory among a job's
-  // compatible nodes; the shared lazy-rescan bound (max_mem_free above)
-  // would rescan all nodes after every placement, reintroducing the
-  // O(jobs·nodes) term. Phase 4 only ever *consumes* memory, so a lazy
-  // max-heap keyed by mem-free-at-push works: a stale top is refreshed
-  // in place (the smaller live value sinks) and each placement stales at
-  // most one entry per group, making the query O(log nodes) amortized.
+  // compatible nodes; rescanning them after every placement would
+  // reintroduce the O(jobs·nodes) term. Phase 4 only ever *consumes*
+  // memory, so a lazy max-heap keyed by mem-free-at-push works: a stale
+  // top is refreshed in place (the smaller live value sinks) and each
+  // placement stales at most one entry per group, making the query
+  // O(log nodes) amortized.
   std::vector<std::vector<std::pair<double, std::uint32_t>>>
       mem_heaps(n_groups);  // (mem_free at push, node index)
   const auto mem_after = [](const std::pair<double, std::uint32_t>& a,
@@ -731,7 +713,6 @@ SolverResult solve_placement(const PlacementProblem& problem, const SolverConfig
     r.evictable = job.movable && !protected_near_done;
     r.seq = next_seq++;
     best->add_resident(r);
-    fleet_mem_dirty = true;
     // The placement changed this node's headroom (and memory): retire
     // its live entry in every group heap holding it and push fresh ones.
     // mem_heaps self-heal on the next query (a stale top refreshes in
@@ -844,7 +825,6 @@ SolverResult solve_placement(const PlacementProblem& problem, const SolverConfig
         }
       }
       NodeScratch::Resident moved = ns.take_resident(pos);
-      fleet_mem_dirty = true;
       ++stats.jobs_evicted;
       if (dest != nullptr && config.allow_migration) {
         moved.grant = std::min(best_leftover, moved.cap);

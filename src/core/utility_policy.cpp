@@ -58,13 +58,12 @@ PlacementProblem build_problem_skeleton(const World& world) {
     sa.max_instances = app.spec().max_instances;
     sa.max_cpu_per_instance = app.spec().max_cpu_per_instance;
     sa.constraint = app.spec().constraint;
-    for (util::VmId vm_id : cl.vm_ids()) {
-      const auto& vm = cl.vm(vm_id);
-      if (vm.kind != cluster::VmKind::kWebInstance || vm.app != app.id()) continue;
-      if (vm.state == cluster::VmState::kRunning) {
-        sa.current.push_back({vm.node, /*movable=*/true});
-      } else if (vm.state == cluster::VmState::kStarting) {
-        sa.current.push_back({vm.node, /*movable=*/false});
+    for (const cluster::Vm* vm : cl.live_web_vms()) {
+      if (vm->app != app.id()) continue;
+      if (vm->state == cluster::VmState::kRunning) {
+        sa.current.push_back({vm->node, /*movable=*/true});
+      } else if (vm->state == cluster::VmState::kStarting) {
+        sa.current.push_back({vm->node, /*movable=*/false});
       }
     }
     problem.apps.push_back(std::move(sa));

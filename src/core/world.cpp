@@ -28,6 +28,7 @@ workload::Job& World::submit_job(workload::JobSpec spec) {
   if (jobs_.count(id) > 0) throw std::invalid_argument("World::submit_job: duplicate job id");
   auto [it, _] = jobs_.emplace(id, workload::Job{std::move(spec)});
   job_order_.push_back(id);
+  live_.push_back(&it->second);
   return it->second;
 }
 
@@ -36,12 +37,14 @@ workload::Job& World::adopt_job(workload::Job job) {
   if (jobs_.count(id) > 0) throw std::invalid_argument("World::adopt_job: duplicate job id");
   auto [it, _] = jobs_.emplace(id, std::move(job));
   job_order_.push_back(id);
+  live_.push_back(&it->second);
   return it->second;
 }
 
 workload::Job World::extract_job(util::JobId id) {
   auto it = jobs_.find(id);
   if (it == jobs_.end()) throw std::out_of_range("World::extract_job: unknown job id");
+  std::erase(live_, &it->second);
   workload::Job out = std::move(it->second);
   jobs_.erase(it);
   job_order_.erase(std::remove(job_order_.begin(), job_order_.end(), id), job_order_.end());
@@ -60,28 +63,29 @@ const workload::Job& World::job(util::JobId id) const {
 
 std::vector<workload::Job*> World::active_jobs() {
   std::vector<workload::Job*> out;
-  for (util::JobId id : job_order_) {
-    workload::Job& j = jobs_.at(id);
-    if (j.phase() != workload::JobPhase::kCompleted && !j.held()) out.push_back(&j);
+  auto keep = live_.begin();
+  for (workload::Job* j : live_) {
+    if (j->phase() == workload::JobPhase::kCompleted) continue;
+    *keep++ = j;
+    if (!j->held()) out.push_back(j);
   }
+  live_.erase(keep, live_.end());
   return out;
 }
 
 std::vector<const workload::Job*> World::active_jobs() const {
   std::vector<const workload::Job*> out;
-  for (util::JobId id : job_order_) {
-    const workload::Job& j = jobs_.at(id);
-    if (j.phase() != workload::JobPhase::kCompleted && !j.held()) out.push_back(&j);
+  for (const workload::Job* j : live_) {
+    if (j->phase() != workload::JobPhase::kCompleted && !j->held()) out.push_back(j);
   }
   return out;
 }
 
 std::size_t World::completed_count() const {
-  std::size_t n = 0;
-  for (const auto& [_, j] : jobs_) {
-    if (j.phase() == workload::JobPhase::kCompleted) ++n;
-  }
-  return n;
+  const auto live = std::count_if(live_.begin(), live_.end(), [](const workload::Job* j) {
+    return j->phase() != workload::JobPhase::kCompleted;
+  });
+  return jobs_.size() - static_cast<std::size_t>(live);
 }
 
 }  // namespace heteroplace::core

@@ -19,6 +19,9 @@ namespace heteroplace::core {
 class World {
  public:
   World() = default;
+  // live_ points into jobs_, so a copy would alias the original's jobs.
+  World(const World&) = delete;
+  World& operator=(const World&) = delete;
 
   [[nodiscard]] cluster::Cluster& cluster() { return cluster_; }
   [[nodiscard]] const cluster::Cluster& cluster() const { return cluster_; }
@@ -55,6 +58,13 @@ class World {
   /// Jobs that are submitted and not yet completed, in submission order.
   /// Held jobs (mid-migration, see workload::Job::held) are excluded so
   /// every policy, executor pass and sampler treats them as already gone.
+  ///
+  /// Per-cycle work is O(live jobs + live instances): this walks the live
+  /// index, never job_order(), so a cycle's cost does not grow with the
+  /// jobs a domain has already finished. Job::phase() stays the only
+  /// source of truth — a job that reached kCompleted is filtered out here
+  /// and pruned from the index by the next non-const call (kCompleted is
+  /// terminal). The const overload filters the same way but never prunes.
   [[nodiscard]] std::vector<workload::Job*> active_jobs();
   [[nodiscard]] std::vector<const workload::Job*> active_jobs() const;
 
@@ -67,6 +77,9 @@ class World {
   std::map<util::AppId, std::size_t> app_index_;  // id → position in apps_
   std::map<util::JobId, workload::Job> jobs_;
   std::vector<util::JobId> job_order_;
+  // Submission-ordered jobs not yet seen completed (held ones included):
+  // a superset of the live jobs, pruned lazily by active_jobs().
+  std::vector<workload::Job*> live_;
 };
 
 }  // namespace heteroplace::core

@@ -140,7 +140,7 @@ class MigrationManager {
     std::size_t from{0};
     std::size_t to{0};
     MigrationStage stage{MigrationStage::kSuspending};
-    JobCheckpoint ckpt;
+    JobCheckpoint ckpt{};
     /// Link grant handle while kTransferring (0 for free pending moves).
     LinkScheduler::TransferId transfer_id{0};
     /// Modeled uncontended transfer time credited to stats at submission
@@ -152,7 +152,7 @@ class MigrationManager {
     /// Link-fault retry bookkeeping: resubmissions performed so far and
     /// the pending backoff event while kRetryWait.
     int attempts{0};
-    sim::EventHandle retry;
+    sim::EventHandle retry{};
   };
 
   void execute(const MigrationRequest& req);

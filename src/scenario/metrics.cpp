@@ -14,11 +14,9 @@ AllocationSample sample_allocations(const core::World& world) {
   out.tx_alloc_per_app.reserve(world.apps().size());
   for (const auto& app : world.apps()) {
     double alloc = 0.0;
-    for (util::VmId vm_id : cl.vm_ids()) {
-      const auto& vm = cl.vm(vm_id);
-      if (vm.kind == cluster::VmKind::kWebInstance && vm.app == app.id() &&
-          vm.state == cluster::VmState::kRunning) {
-        alloc += vm.cpu_share.get();
+    for (const cluster::Vm* vm : cl.live_web_vms()) {
+      if (vm->app == app.id() && vm->state == cluster::VmState::kRunning) {
+        alloc += vm->cpu_share.get();
       }
     }
     out.tx_alloc_per_app.push_back(alloc);

@@ -195,6 +195,51 @@ TEST(ClusterState, VmsInStateFiltersAndOrders) {
   EXPECT_EQ(pending[1], v2);
 }
 
+TEST(ClusterState, LiveWebVmsKeepCreationOrderAndDropStopped) {
+  Cluster c;
+  const auto n0 = c.add_node(res(12000, 2048));
+  auto live_ids = [&c] {
+    std::vector<util::VmId> out;
+    for (const cluster::Vm* vm : c.live_web_vms()) out.push_back(vm->id);
+    return out;
+  };
+  const auto w1 = c.create_web_vm(util::AppId{0}, 1024_mb);
+  const auto job_vm = c.create_job_vm(util::JobId{0}, 512_mb);
+  const auto w2 = c.create_web_vm(util::AppId{1}, 1024_mb);
+  const auto w3 = c.create_web_vm(util::AppId{0}, 1024_mb);
+  EXPECT_EQ(live_ids(), (std::vector<util::VmId>{w1, w2, w3}));
+
+  // Job containers never enter the list, whatever their state.
+  ASSERT_TRUE(c.place_vm(job_vm, n0));
+  c.set_vm_state(job_vm, VmState::kStarting);
+  c.set_vm_state(job_vm, VmState::kStopped);
+  c.unplace_vm(job_vm);
+  EXPECT_EQ(live_ids(), (std::vector<util::VmId>{w1, w2, w3}));
+
+  // A started instance stays; a stopped one drops out, order kept.
+  ASSERT_TRUE(c.place_vm(w1, n0));
+  c.set_vm_state(w1, VmState::kStarting);
+  c.set_vm_state(w1, VmState::kRunning);
+  c.set_vm_state(w2, VmState::kStopped);
+  EXPECT_EQ(live_ids(), (std::vector<util::VmId>{w1, w3}));
+
+  // The executor's failed-placement path: create, place fails (node
+  // memory is full), stop at once.
+  const auto w4 = c.create_web_vm(util::AppId{1}, 1024_mb);
+  ASSERT_TRUE(c.place_vm(w3, n0));
+  EXPECT_FALSE(c.place_vm(w4, n0));
+  c.set_vm_state(w4, VmState::kStopped);
+  EXPECT_EQ(live_ids(), (std::vector<util::VmId>{w1, w3}));
+
+  c.set_vm_state(w1, VmState::kStopped);
+  c.unplace_vm(w1);
+  EXPECT_EQ(live_ids(), (std::vector<util::VmId>{w3}));
+  EXPECT_EQ(c.vm_ids().size(), 5u);  // vm_ids() still lists every VM ever created
+
+  // Every live entry points at the cluster's own record.
+  for (const cluster::Vm* vm : c.live_web_vms()) EXPECT_EQ(vm, &c.vm(vm->id));
+}
+
 TEST(ClusterState, ValidateCleanClusterHasNoIssues) {
   Cluster c;
   const auto n0 = c.add_node(res(12000, 4096));

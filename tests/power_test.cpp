@@ -126,7 +126,7 @@ TEST(PowerModel, RejectsDegenerateTables) {
   EXPECT_THROW(m.validate(), std::invalid_argument);
   EXPECT_THROW(power::PowerModel::ladder(-5.0), std::invalid_argument);
   EXPECT_THROW(power::PowerModel::ladder(100.0, 9), std::invalid_argument);
-  EXPECT_THROW(power::park_depth_from_string("hibernate"), std::invalid_argument);
+  EXPECT_THROW((void)power::park_depth_from_string("hibernate"), std::invalid_argument);
 }
 
 // --- node sleep states vs. placement ----------------------------------------

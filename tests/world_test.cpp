@@ -7,6 +7,7 @@
 
 #include "cluster/actions.hpp"
 #include "cluster/placement.hpp"
+#include "util/rng.hpp"
 
 using namespace heteroplace;
 using namespace heteroplace::util::literals;
@@ -64,6 +65,69 @@ TEST(World, ActiveJobsPreserveSubmissionOrder) {
   EXPECT_EQ(active[1]->id().get(), 2u);
   EXPECT_EQ(active[2]->id().get(), 5u);
 }
+
+// Property: the live-job index never disagrees with a filter over
+// job_order(), whatever mix of submits, completions, holds, extracts and
+// adopts got it there — for both active_jobs() overloads.
+class WorldLiveIndexFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WorldLiveIndexFuzz, MatchesReferenceFilterOverJobOrder) {
+  util::Rng rng(GetParam());
+  World w;
+  const World& cw = w;
+  std::vector<workload::Job> detached;  // extracted, awaiting adoption
+  unsigned next_id = 0;
+  auto random_job = [&]() -> workload::Job& {
+    const auto& order = w.job_order();
+    return w.job(order[rng.uniform_int(0, order.size() - 1)]);
+  };
+
+  for (int step = 0; step < 600; ++step) {
+    const auto op = rng.uniform_int(0, 5);
+    if (op == 0 || w.job_order().empty()) {
+      w.submit_job(spec(next_id++, static_cast<double>(step)));
+    } else if (op == 1) {
+      workload::Job& j = random_job();
+      if (j.phase() != JobPhase::kCompleted) {
+        j.set_phase(util::Seconds{static_cast<double>(step)}, JobPhase::kCompleted);
+      }
+    } else if (op == 2) {
+      random_job().set_held(true);
+    } else if (op == 3) {
+      random_job().set_held(false);
+    } else if (op == 4) {
+      detached.push_back(w.extract_job(random_job().id()));
+    } else if (!detached.empty()) {
+      const auto k = rng.uniform_int(0, detached.size() - 1);
+      w.adopt_job(std::move(detached[k]));
+      detached.erase(detached.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+
+    std::vector<util::JobId> want;
+    std::size_t completed = 0;
+    for (util::JobId id : w.job_order()) {
+      const workload::Job& j = cw.job(id);
+      if (j.phase() == JobPhase::kCompleted) {
+        ++completed;
+      } else if (!j.held()) {
+        want.push_back(id);
+      }
+    }
+    // The const overload first, so it also sees entries the non-const
+    // call is about to prune.
+    std::vector<util::JobId> got_const;
+    for (const workload::Job* j : cw.active_jobs()) got_const.push_back(j->id());
+    EXPECT_EQ(cw.completed_count(), completed) << "step " << step;
+    std::vector<util::JobId> got;
+    for (workload::Job* j : w.active_jobs()) got.push_back(j->id());
+    ASSERT_EQ(got_const, want) << "step " << step;
+    ASSERT_EQ(got, want) << "step " << step;
+    ASSERT_EQ(w.completed_count(), completed) << "step " << step;
+    ASSERT_EQ(w.submitted_count(), w.job_order().size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WorldLiveIndexFuzz, ::testing::Values(1u, 7u, 99u));
 
 TEST(World, AppLookup) {
   World w;
