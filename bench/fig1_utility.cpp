@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   scenario::ExperimentOptions options;
   options.policy = scenario::PolicyKind::kUtilityDriven;
 
-  std::cout << "=== Figure 1: utility over time (" << s.name << ", " << s.cluster.nodes
+  std::cout << "=== Figure 1: utility over time (" << s.name << ", " << s.domains[0].cluster.nodes
             << " nodes, " << s.jobs.count << " jobs, cycle " << s.controller.cycle_s
             << " s) ===\n";
   const auto result = scenario::run_experiment(s, options);

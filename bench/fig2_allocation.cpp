@@ -25,8 +25,9 @@ int main(int argc, char** argv) {
   scenario::ExperimentOptions options;
   options.policy = scenario::PolicyKind::kUtilityDriven;
 
-  std::cout << "=== Figure 2: CPU allocated vs demand (" << s.name << ", " << s.cluster.nodes
-            << " nodes x " << s.cluster.cpu_per_node_mhz << " MHz) ===\n";
+  const scenario::ClusterSpec& cluster = s.domains[0].cluster;
+  std::cout << "=== Figure 2: CPU allocated vs demand (" << s.name << ", " << cluster.nodes
+            << " nodes x " << cluster.cpu_per_node_mhz << " MHz) ===\n";
   const auto result = scenario::run_experiment(s, options);
 
   const int every = static_cast<int>(cfg.get_int("every", 10));
@@ -43,7 +44,7 @@ int main(int argc, char** argv) {
   const auto* lr_demand = result.series.find("lr_demand_mhz");
   const auto* gap = result.series.find("utility_gap");
   const double t_end = result.summary.sim_end_time_s;
-  const double capacity = s.cluster.nodes * s.cluster.cpu_per_node_mhz;
+  const double capacity = cluster.nodes * cluster.cpu_per_node_mhz;
   const double arrivals_end =
       static_cast<double>(s.jobs.count) * s.jobs.mean_interarrival_s;
 

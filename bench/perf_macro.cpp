@@ -103,10 +103,11 @@ std::vector<scenario::TxAppScenario> make_apps(const Shape& sh) {
   return apps;
 }
 
-scenario::FederatedScenario macro_scenario(const Shape& sh) {
-  scenario::FederatedScenario fs;
+scenario::Scenario macro_scenario(const Shape& sh) {
+  scenario::Scenario fs;
   fs.name = std::string("perf-macro-") + sh.mode;
 
+  fs.domains.clear();  // replace the default one-domain layout
   for (int i = 0; i < sh.domains; ++i) {
     scenario::DomainSpec d;
     d.name = "dc" + std::to_string(i);
@@ -222,13 +223,13 @@ int main(int argc, char** argv) {
   }
 
   const Shape sh = smoke ? smoke_shape() : full_shape();
-  const scenario::FederatedScenario base = macro_scenario(sh);
+  const scenario::Scenario base = macro_scenario(sh);
   std::printf("perf_macro [%s]: %d domains x %d nodes, %ld jobs over %.0f s\n", sh.mode,
               sh.domains, sh.nodes_per_domain, sh.jobs, sh.horizon_s);
 
   std::vector<CaseResult> cases;
   for (int threads : sh.threads) {
-    scenario::FederatedScenario fs = base;
+    scenario::Scenario fs = base;
     fs.engine_threads = threads;
     // Per-phase wall-clock attribution (obs layer). Digest-excluded, so
     // the bit-identity sweep below still holds with profiling on; the

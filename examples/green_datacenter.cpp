@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
 
   scenario::Scenario s = scenario::section3_scaled(0.4);  // 10 nodes
   s.name = "green-datacenter";
-  s.cluster.nodes = static_cast<int>(cfg.get_int("nodes", s.cluster.nodes));
+  s.domains[0].cluster.nodes = static_cast<int>(cfg.get_int("nodes", s.domains[0].cluster.nodes));
   s.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 11));
 
   // Two days of diurnal transactional demand: quiet nights, busy days.
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   scenario::ExperimentOptions options;
   options.validate_invariants = true;
 
-  std::cout << "Green datacenter: " << s.cluster.nodes << " nodes, " << s.jobs.count
+  std::cout << "Green datacenter: " << s.domains[0].cluster.nodes << " nodes, " << s.jobs.count
             << " daytime jobs, two-day diurnal web demand, horizon " << s.horizon_s
             << " s\n\n";
 

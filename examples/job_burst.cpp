@@ -32,9 +32,9 @@ int main(int argc, char** argv) {
 
   scenario::Scenario s;
   s.name = "job-burst";
-  s.cluster.nodes = static_cast<int>(cfg.get_int("nodes", 6));
-  s.cluster.cpu_per_node_mhz = 12000.0;
-  s.cluster.mem_per_node_mb = 4096.0;
+  s.domains[0].cluster.nodes = static_cast<int>(cfg.get_int("nodes", 6));
+  s.domains[0].cluster.cpu_per_node_mhz = 12000.0;
+  s.domains[0].cluster.mem_per_node_mb = 4096.0;
 
   // Burst of jobs right at the start: 30 jobs in ~1500 s.
   s.jobs.count = cfg.get_int("jobs", 30);
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   web.spec.utility_cap = 0.9;
   web.spec.instance_memory = util::MemMb{1024.0};
   web.spec.min_instances = 1;
-  web.spec.max_instances = s.cluster.nodes;
+  web.spec.max_instances = s.domains[0].cluster.nodes;
   web.spec.max_cpu_per_instance = util::CpuMhz{12000.0};
   web.trace.add(util::Seconds{0.0}, 1.5);      // light
   web.trace.add(util::Seconds{8000.0}, 6.0);   // spike: 4×

@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
   diurnal.add(util::Seconds{60000.0}, 3.0);   // night again
   base.apps[0].trace = diurnal;
 
-  scenario::FederatedScenario fs =
-      scenario::federate(base, 3, cfg.get_string("router", "least-loaded"));
+  scenario::Scenario fs = scenario::federate(base, 3);
+  fs.router = cfg.get_string("router", "least-loaded");
   fs.domains[0].name = "dc-primary";
   fs.domains[0].cluster.nodes = 5;
   fs.domains[1].name = "dc-east";

@@ -36,8 +36,8 @@ int main(int argc, char** argv) {
   scenario::ExperimentOptions options;
   options.policy = scenario::policy_from_string(cfg.get_string("policy", "utility-driven"));
 
-  std::cout << "Heterogeneous datacenter (paper Section 3): " << s.cluster.nodes
-            << " nodes x " << s.cluster.cpu_per_node_mhz / 1000.0 << " GHz total/node, "
+  std::cout << "Heterogeneous datacenter (paper Section 3): " << s.domains[0].cluster.nodes
+            << " nodes x " << s.domains[0].cluster.cpu_per_node_mhz / 1000.0 << " GHz total/node, "
             << s.jobs.count << " jobs, mean inter-arrival " << s.jobs.mean_interarrival_s
             << " s, control cycle " << s.controller.cycle_s << " s\n\n";
 

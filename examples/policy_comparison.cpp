@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
       scenario::PolicyKind::kUtilityDriven, scenario::PolicyKind::kStaticPartition,
       scenario::PolicyKind::kProportionalEqual, scenario::PolicyKind::kProportionalDemand};
 
-  std::cout << "Policy comparison on " << s.name << " (" << s.cluster.nodes << " nodes, "
+  std::cout << "Policy comparison on " << s.name << " (" << s.domains[0].cluster.nodes << " nodes, "
             << s.jobs.count << " jobs)\n\n";
 
   for (const auto policy : policies) {

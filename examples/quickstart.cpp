@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   // A 5-node cluster: each node has 4 × 3 GHz processors and 4 GB memory.
   scenario::Scenario s = scenario::section3_scaled(0.2);
   s.name = "quickstart";
-  s.cluster.nodes = static_cast<int>(cfg.get_int("nodes", s.cluster.nodes));
+  s.domains[0].cluster.nodes = static_cast<int>(cfg.get_int("nodes", s.domains[0].cluster.nodes));
   s.jobs.count = cfg.get_int("jobs", 40);
   s.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
 
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   options.policy = scenario::policy_from_string(cfg.get_string("policy", "utility-driven"));
   options.validate_invariants = true;
 
-  std::cout << "Running '" << s.name << "' on " << s.cluster.nodes << " nodes with "
+  std::cout << "Running '" << s.name << "' on " << s.domains[0].cluster.nodes << " nodes with "
             << s.jobs.count << " jobs under policy " << scenario::to_string(options.policy)
             << "...\n\n";
 

@@ -7,7 +7,9 @@
 //   ./build/examples/run_scenario --config=base.conf --policy=static-partition
 //
 // Command-line keys override file keys. `--print_config` echoes the fully
-// resolved scenario (archivable; round-trips through the loader).
+// resolved scenario of any domain count (archivable: it reloads to an
+// equal scenario and prints again byte for byte). Runs take one-domain
+// scenarios.
 
 #include <fstream>
 #include <iostream>
@@ -55,7 +57,7 @@ int main(int argc, char** argv) {
     scenario::ExperimentOptions options;
     options.policy = scenario::policy_from_string(policy_name);
 
-    std::cout << "Running scenario '" << s.name << "' (" << s.cluster.nodes << " nodes, "
+    std::cout << "Running scenario '" << s.name << "' (" << s.domains[0].cluster.nodes << " nodes, "
               << s.jobs.count << " jobs, " << s.apps.size() << " app(s)) under "
               << scenario::to_string(options.policy) << "\n\n";
     const auto result = scenario::run_experiment(s, options);

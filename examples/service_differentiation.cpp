@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   std::cout << "Service differentiation: gold (RT goal " << s.apps[0].spec.rt_goal
             << " s, importance " << s.apps[0].spec.importance << ") vs silver (RT goal "
             << s.apps[1].spec.rt_goal << " s, importance " << s.apps[1].spec.importance
-            << ") + " << s.jobs.count << " batch jobs on " << s.cluster.nodes << " nodes\n\n";
+            << ") + " << s.jobs.count << " batch jobs on " << s.domains[0].cluster.nodes
+            << " nodes\n\n";
 
   const auto result = scenario::run_experiment(s, {});
   scenario::print_summary(std::cout, result.summary);

@@ -1,12 +1,11 @@
 #pragma once
 
-// Machine-class plumbing shared by the scenario loaders and runners.
+// Machine-class plumbing shared by the config loader and the runner.
 //
-// The single-world and federated config loaders both accept the same
-// `classes` / `class.<name>.*` pool keys and `*.constraint.*` job/app
-// keys; validation and cluster population live here so the two loaders
-// cannot drift (the same pattern as fault_factory / power_factory /
-// obs_factory).
+// The loader parses the `classes` / `class.<name>.*` pool keys and
+// `*.constraint.*` job/app keys and the runner populates each domain's
+// cluster; validation and population live here so the two cannot drift
+// (the same pattern as fault_factory / power_factory / obs_factory).
 
 #include <string>
 #include <vector>

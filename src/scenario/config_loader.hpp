@@ -2,91 +2,70 @@
 
 // Config-driven scenario construction: build a full Scenario from
 // key=value configuration (file or command line), so experiments can be
-// defined and swept without recompiling.
+// defined and swept without recompiling. One schema serves every domain
+// count; a single-cluster experiment is `domains = 1`, the default.
+// Unspecified keys keep the paper's Section-3 values, every subsystem
+// is off by default, and unknown keys raise util::ConfigError so typos
+// fail loudly.
 //
-// Recognized keys (defaults = the paper's Section-3 experiment):
+// Plain keys map one-to-one onto Scenario fields: `name` (default
+// "custom") and those bind_scalar_keys in config_loader.cpp lists —
+// seed, horizon_s, sample_interval_s, engine.threads, router, cycle_s,
+// latency.*, solver.*, jobs.* (incl. jobs.tail_* and jobs.importance),
+// migration.* (MigrationSpec, incl. the retry/queue keys), power.*
+// (PowerSpec), fault.* (FaultSpec rates and seeds) and obs.* (ObsSpec).
+// Keys with structure:
 //
-//   name, seed, horizon_s, sample_interval_s
-//   nodes, cpu_per_node_mhz, mem_per_node_mb
-//   classes                    — machine-class names (comma list; mutually
-//                                 exclusive with the scalar nodes/cpu/mem keys)
-//   class.<name>.arch, class.<name>.cores, class.<name>.core_mhz,
-//   class.<name>.mem_mb, class.<name>.speed_factor, class.<name>.accel,
-//   class.<name>.count
-//   jobs.constraint.arch, jobs.constraint.accel, jobs.constraint.min_core_mhz
-//   app.<i>.constraint.arch, app.<i>.constraint.accel,
-//   app.<i>.constraint.min_core_mhz
-//   cycle_s
-//   latency.start_job, latency.suspend, latency.resume, latency.migrate,
-//   latency.start_instance
-//   solver.allow_migration, solver.work_conserving,
-//   solver.protect_completion_horizon_s, solver.instance_capacity_factor
-//   jobs.count, jobs.mean_interarrival_s, jobs.tail_count,
-//   jobs.tail_mean_interarrival_s, jobs.work_mhz_s, jobs.work_cv,
-//   jobs.max_speed_mhz, jobs.memory_mb, jobs.goal_stretch,
-//   jobs.utility_shape, jobs.importance
-//   apps                       — number of transactional apps (default 1)
-//   app.<i>.name, app.<i>.lambda, app.<i>.rt_goal_s,
-//   app.<i>.service_demand_mhz_s, app.<i>.importance,
-//   app.<i>.instance_memory_mb, app.<i>.min_instances,
-//   app.<i>.max_instances, app.<i>.utility_cap, app.<i>.max_utilization,
-//   app.<i>.throughput_exponent
-//
-// Federated (multi-domain) scenarios additionally recognize:
-//
-//   domains                    — number of controller domains (default 1)
-//   router                     — least-loaded | capacity-weighted | sticky
-//   domain.<i>.name, domain.<i>.nodes, domain.<i>.cpu_per_node_mhz,
-//   domain.<i>.mem_per_node_mb, domain.<i>.first_cycle_at_s
-//   domain.<i>.class.<name>.count — per-domain machine-class pool override
-//                                 (0 allowed: the class lives elsewhere)
-//
-// Per-domain keys default to an even split of the global `nodes` pool (or
-// of each class pool) and auto-staggered control cycles
-// (first_cycle_at_s = -1).
-//
-// Live-migration keys (all under migration.*, disabled by default):
-//
-//   migration.enabled          — turn the MigrationManager on (default false)
-//   migration.policy           — drain | rebalance | drain+rebalance
-//   migration.check_interval_s, migration.max_moves_per_tick
-//   migration.high_watermark, migration.low_watermark
-//   migration.link_mode        — p2p | uplink (link contention pools)
-//   migration.selection        — fifo | cost (movable-job ordering)
-//   migration.default_bandwidth_mb_per_s, migration.default_latency_s
-//     (migration.default_bandwidth_mbps is a deprecated alias — the value
-//      was always MB/s; old configs still load)
-//   migration.align_attach     — defer each destination attach to just
-//                                 before the destination controller's next
-//                                 cycle so that cycle plans the arriving
-//                                 job (default false)
-//   bandwidth.<i>.<j>          — directed link bandwidth override (MB/s;
-//                                 p2p mode only — rejected under uplink)
-//   link_latency.<i>.<j>       — directed link latency override (s)
-//   uplink_bandwidth.<i>       — shared uplink pool capacity (MB/s;
-//                                 uplink mode only — rejected under p2p)
-//
-// Unknown keys raise util::ConfigError so typos fail loudly.
+//   nodes, cpu_per_node_mhz, mem_per_node_mb — the global scalar pool
+//   classes + class.<name>.{arch,cores,core_mhz,mem_mb,speed_factor,
+//     accel,count}            — machine-class pools (instead of the above)
+//   domains                    — controller domains (default 1), which
+//                                 split the global pool evenly
+//   domain.<i>.{name,nodes,cpu_per_node_mhz,mem_per_node_mb,
+//     first_cycle_at_s,power_cap_w}, domain.<i>.class.<name>.count
+//                              — per-domain overrides (name default dc<i>;
+//                                 phase -1 = auto-stagger; cap default
+//                                 power.cap_w)
+//   apps + app.<i>.{name,lambda,rt_goal_s,service_demand_mhz_s,importance,
+//     instance_memory_mb,min_instances,max_instances,utility_cap,
+//     max_utilization,throughput_exponent}
+//   jobs.constraint.*, app.<i>.constraint.* — {arch,accel,min_core_mhz}
+//   bandwidth.<i>.<j>, link_latency.<i>.<j> — directed link overrides
+//                                 (MB/s, s; bandwidth in p2p mode only)
+//   uplink_bandwidth.<i>       — shared uplink capacity (uplink mode only)
+//   migration.default_bandwidth_mbps — deprecated alias of
+//                                 migration.default_bandwidth_mb_per_s
+//   fault.events + fault.event.<i>.{kind,domain|from,node,to,at_s,
+//     duration_s,severity}    — explicit faults; link faults need
+//                                 migration, link faults and blackouts
+//                                 need domains >= 2
+//   obs.trace_path, obs.trace_engine, obs.trace_ring_capacity,
+//   obs.audit_path, obs.audit_ring_capacity — only with that mode on
+//   slos + slo.<name>.{target,long_window_s,short_window_s,burn_threshold}
+//                              — burn-rate alerts; <name> is a tx app or
+//                                 the literal "jobs"
 
-#include "scenario/federation_experiment.hpp"
+#include <string>
+
 #include "scenario/scenario.hpp"
 #include "util/config.hpp"
 
 namespace heteroplace::scenario {
 
-/// Build a scenario from configuration; unspecified keys fall back to the
-/// paper's Section-3 values. Throws util::ConfigError on malformed values
-/// or unknown keys.
+/// Build a scenario from configuration. Throws util::ConfigError on
+/// malformed values or unknown keys.
 [[nodiscard]] Scenario scenario_from_config(const util::Config& cfg);
 
-/// Render a scenario back into config text (round-trips through
-/// scenario_from_config); handy for archiving exactly what a bench ran.
-[[nodiscard]] std::string scenario_to_config(const Scenario& scenario);
+/// The name perfbench/hpbench.cpp uses for scenario_from_config. That
+/// driver is frozen with the repo benchmark; no other code may call this.
+[[nodiscard]] inline Scenario federated_scenario_from_config(const util::Config& cfg) {
+  return scenario_from_config(cfg);
+}
 
-/// Build a federated (multi-domain) scenario: the shared keys define the
-/// workload and controller, `domains`/`router`/`domain.<i>.*` shard the
-/// cluster into controller domains. `domains = 1` (the default) yields
-/// the single-cluster scenario's exact federated equivalent.
-[[nodiscard]] FederatedScenario federated_scenario_from_config(const util::Config& cfg);
+/// Render a scenario as config text: every key the loader reads, doubles
+/// at max_digits10, so the text reloads to an equal scenario and renders
+/// again byte for byte. Weight events and time-varying demand traces
+/// have no keys: they are not rendered, and `lambda` is the rate at t=0.
+[[nodiscard]] std::string scenario_to_config(const Scenario& scenario);
 
 }  // namespace heteroplace::scenario

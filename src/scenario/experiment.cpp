@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <utility>
-#include <vector>
 
-#include "scenario/fault_factory.hpp"
 #include "scenario/federation_experiment.hpp"
 
 namespace heteroplace::scenario {
@@ -42,23 +41,19 @@ int effective_engine_threads(int configured) {
 }
 
 ExperimentResult run_experiment(const Scenario& scenario, const ExperimentOptions& options) {
-  // A single world has no links or sibling domains, so link faults and
-  // blackouts are errors here even though a federation accepts them.
-  if (scenario.faults.enabled) {
-    const double horizon =
-        options.horizon_override_s > 0.0 ? options.horizon_override_s : scenario.horizon_s;
-    const std::vector<std::size_t> nodes{static_cast<std::size_t>(scenario.cluster.total_nodes())};
-    validate_fault_spec(scenario.faults, nodes, /*federated=*/false,
-                        /*migration_enabled=*/false, horizon);
+  if (scenario.domains.size() != 1) {
+    throw std::invalid_argument("run_experiment: scenario '" + scenario.name + "' has " +
+                                std::to_string(scenario.domains.size()) +
+                                " domains; use run_federated_experiment");
   }
-  FederatedResult fed = run_federated_experiment(federate(scenario, 1), options);
+  FederatedResult fed = run_federated_experiment(scenario, options);
 
   ExperimentResult result = std::move(fed.domains.front().result);
   result.summary.scenario = scenario.name;
   result.summary.fault_mttr_s = fed.fault_mttr_s;
   result.profile = std::move(fed.profile);
   // The federation-level power and fault series of the one domain, under
-  // their single-world names.
+  // their single-cluster names.
   static constexpr std::pair<const char*, const char*> kLegacyNames[] = {
       {"fed_power_w", "power_w"},
       {"fed_energy_wh", "energy_wh"},

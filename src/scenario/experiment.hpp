@@ -1,10 +1,10 @@
 #pragma once
 
-// Single-world experiments. run_experiment is the 1-domain federated run:
-// it shards the Scenario into one domain with federate(scenario, 1), runs
-// it through run_federated_experiment (the one place engine, world,
-// controller, power, faults, obs and metrics are wired), and returns that
-// domain's series + summary under the single-world names.
+// Experiment options and one-domain results. run_experiment is the
+// one-domain adaptor over run_federated_experiment (the one place engine,
+// world, controller, power, faults, obs and metrics are wired): it runs
+// a Scenario with exactly one domain and returns that domain's series +
+// summary under the single-cluster names.
 
 #include <functional>
 #include <memory>
@@ -65,14 +65,16 @@ struct ExperimentResult {
 /// change any expected output.
 [[nodiscard]] int effective_engine_threads(int configured);
 
-/// Run `scenario` under `options` and collect results. Deterministic for
-/// a fixed (scenario.seed, options) pair. Rejects link faults and
-/// blackouts (a single world cannot express them), then runs
-/// federate(scenario, 1) and returns domain 0's series and summary. The
-/// federation-level power and fault series come back under their
-/// single-world names (power_w, energy_wh, power_parked_nodes,
-/// availability, fault_failed_nodes, fault_downtime_s,
-/// jobs_lost_progress_s), and summary.fault_mttr_s is the run's MTTR.
+/// Run a one-domain `scenario` under `options` and collect results.
+/// Deterministic for a fixed (scenario.seed, options) pair. Throws
+/// std::invalid_argument unless scenario.domains.size() == 1, then runs
+/// run_federated_experiment(scenario, options) and returns domain 0's
+/// series and summary. (Link faults and blackouts need >= 2 domains, so
+/// that run rejects them.) The federation-level power and fault series
+/// come back under their single-cluster names (power_w, energy_wh,
+/// power_parked_nodes, availability, fault_failed_nodes,
+/// fault_downtime_s, jobs_lost_progress_s), and summary.fault_mttr_s is
+/// the run's MTTR.
 [[nodiscard]] ExperimentResult run_experiment(const Scenario& scenario,
                                               const ExperimentOptions& options = {});
 

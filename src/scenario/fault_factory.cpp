@@ -31,7 +31,7 @@ void check_rate_pair(const std::string& prefix, double mttf, double mttr) {
 }  // namespace
 
 void validate_fault_spec(const FaultSpec& spec, const std::vector<std::size_t>& nodes_per_domain,
-                         bool federated, bool migration_enabled, double horizon_s) {
+                         bool migration_enabled, double horizon_s) {
   if (!spec.enabled) return;
   if (spec.checkpoint_interval_s < 0.0) {
     throw util::ConfigError("fault.checkpoint_interval_s: must be nonnegative (0 = continuous)");
@@ -120,8 +120,10 @@ void validate_fault_spec(const FaultSpec& spec, const std::vector<std::size_t>& 
     windows.emplace_back(start, end);
   }
 
+  // Links and sibling domains exist only with two or more domains.
+  const bool federated = n_domains >= 2;
   if (any_link && !federated) {
-    throw util::ConfigError("fault.link_*: link faults need a federated run (domains >= 2)");
+    throw util::ConfigError("fault.link_*: link faults need domains >= 2");
   }
   if (any_link && !migration_enabled) {
     throw util::ConfigError(
@@ -129,7 +131,7 @@ void validate_fault_spec(const FaultSpec& spec, const std::vector<std::size_t>& 
         "migration subsystem)");
   }
   if (any_domain && !federated) {
-    throw util::ConfigError("fault.domain_*: domain blackouts need a federated run");
+    throw util::ConfigError("fault.domain_*: domain blackouts need domains >= 2");
   }
 }
 

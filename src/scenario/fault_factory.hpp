@@ -2,7 +2,7 @@
 
 // Fault-subsystem construction and validation.
 //
-// The config loaders and the runners must reject a bad spec with the same
+// The config loader and the runner must reject a bad spec with the same
 // fault.* key names, and the runner must translate a FaultSpec into a
 // deterministic FaultSchedule, so both live here once.
 
@@ -19,13 +19,13 @@ namespace heteroplace::scenario {
 /// spec: negative rates or durations, half-configured MTTF/MTTR pairs,
 /// unknown event kinds, out-of-range targets, severities outside (0, 1],
 /// link/domain faults in a run that cannot express them (link faults need
-/// migration; link and domain faults need a federation), or overlapping
-/// explicit windows on the same target. `nodes_per_domain` describes the
-/// topology the events are checked against; `federated` and
-/// `migration_enabled` describe the run. The config loaders,
-/// run_experiment and run_federated_experiment call this.
+/// migration; link faults and blackouts need >= 2 domains), or
+/// overlapping explicit windows on the same target. `nodes_per_domain`
+/// describes the topology the events are checked against (one entry per
+/// domain); `migration_enabled` describes the run. The config loader and
+/// run_federated_experiment call this.
 void validate_fault_spec(const FaultSpec& spec, const std::vector<std::size_t>& nodes_per_domain,
-                         bool federated, bool migration_enabled, double horizon_s);
+                         bool migration_enabled, double horizon_s);
 
 /// Build the schedule a (validated) spec describes: explicit events plus
 /// the stochastic processes, seeded by spec.seed (or `scenario_seed` when

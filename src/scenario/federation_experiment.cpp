@@ -1,16 +1,22 @@
 #include "scenario/federation_experiment.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <map>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 
+#include "baselines/proportional_share.hpp"
+#include "baselines/static_partition.hpp"
+#include "core/utility_policy.hpp"
 #include "federation/federation.hpp"
+#include "perfmodel/rate_estimator.hpp"
 #include "power/manager.hpp"
 #include "scenario/class_factory.hpp"
 #include "scenario/fault_factory.hpp"
 #include "scenario/metrics.hpp"
 #include "scenario/obs_factory.hpp"
-#include "scenario/policy_factory.hpp"
 #include "scenario/power_factory.hpp"
 #include "sim/engine.hpp"
 #include "util/config.hpp"
@@ -33,41 +39,86 @@ void validate_migration_modes(const MigrationSpec& spec) {
   }
 }
 
-FederatedScenario federate(const Scenario& single, int n_domains, const std::string& router) {
-  if (n_domains < 1) throw std::invalid_argument("federate: need at least one domain");
-  FederatedScenario fs;
-  fs.name = n_domains == 1 ? single.name : single.name + "-federated";
-  fs.apps = single.apps;
-  fs.jobs = single.jobs;
-  fs.controller = single.controller;
-  fs.power = single.power;
-  fs.faults = single.faults;
-  fs.router = router;
-  fs.horizon_s = single.horizon_s;
-  fs.sample_interval_s = single.sample_interval_s;
-  fs.seed = single.seed;
-  fs.engine_threads = single.engine_threads;
-  fs.obs = single.obs;
-  fs.slos = single.slos;
+namespace {
 
-  // Even split, remainder to the earliest domains: of the node count for
-  // a scalar spec, of each class pool for a heterogeneous one.
-  const auto share = [n_domains](int total, int i) {
-    return total / n_domains + (i < total % n_domains ? 1 : 0);
-  };
-  for (int i = 0; i < n_domains; ++i) {
-    DomainSpec d;
-    d.name = "dc" + std::to_string(i);
-    d.cluster = single.cluster;
-    d.cluster.nodes = share(single.cluster.nodes, i);
-    for (ClassPoolSpec& pool : d.cluster.classes) pool.count = share(pool.count, i);
-    fs.domains.push_back(std::move(d));
+/// The local policy options.policy selects, for one domain. `noise_seed`
+/// seeds that domain's λ-observation noise stream when
+/// options.lambda_noise_cv > 0 (each controller gets its own estimator
+/// state).
+std::unique_ptr<core::PlacementPolicy> make_experiment_policy(
+    const ExperimentOptions& options, const core::SolverConfig& solver,
+    std::shared_ptr<utility::JobUtilityModel> job_model,
+    std::shared_ptr<utility::TxUtilityModel> tx_model, std::uint64_t noise_seed) {
+  switch (options.policy) {
+    case PolicyKind::kUtilityDriven: {
+      auto up = std::make_unique<core::UtilityDrivenPolicy>(job_model, tx_model, solver);
+      if (options.lambda_noise_cv > 0.0) {
+        // Noisy-monitoring state must outlive the policy: one estimator
+        // and one noise stream per app (keyed by app id).
+        auto estimators = std::make_shared<std::map<util::AppId, perfmodel::RateEstimator>>();
+        auto noise_rng = std::make_shared<util::Rng>(noise_seed);
+        const double cv = options.lambda_noise_cv;
+        const double half_life = options.lambda_estimator_half_life_s;
+        // LogNormal with mean 1 and the requested coefficient of variation.
+        const double sigma2 = std::log(1.0 + cv * cv);
+        const double mu = -0.5 * sigma2;
+        const double sigma = std::sqrt(sigma2);
+        up->set_lambda_provider(
+            [estimators, noise_rng, mu, sigma, half_life](const workload::TxApp& app,
+                                                          util::Seconds now) {
+              auto [it, inserted] =
+                  estimators->try_emplace(app.id(), perfmodel::RateEstimator{half_life});
+              const double observed = app.arrival_rate(now) * noise_rng->lognormal(mu, sigma);
+              it->second.observe(now, observed);
+              return it->second.estimate();
+            });
+      }
+      return up;
+    }
+    case PolicyKind::kStaticPartition: {
+      baselines::StaticPartitionConfig cfg;
+      cfg.tx_node_fraction = options.static_tx_fraction;
+      return std::make_unique<baselines::StaticPartitionPolicy>(cfg);
+    }
+    case PolicyKind::kProportionalEqual:
+    case PolicyKind::kProportionalDemand: {
+      baselines::ProportionalShareConfig cfg;
+      cfg.mode = options.policy == PolicyKind::kProportionalEqual
+                     ? baselines::ShareMode::kEqualPerWorkload
+                     : baselines::ShareMode::kDemandProportional;
+      cfg.solver = solver;
+      return std::make_unique<baselines::ProportionalSharePolicy>(job_model, tx_model, cfg);
+    }
   }
-  return fs;
+  return nullptr;  // unreachable: all enum values handled above
 }
 
-FederatedResult run_federated_experiment(const FederatedScenario& fs,
-                                         const ExperimentOptions& options) {
+/// One domain's power manager (cluster already populated). The spec's
+/// check interval defaults to the control cycle; `cap_w_override` >= 0
+/// (DomainSpec::power_cap_w) replaces the spec's cap. `shard` tags the
+/// manager's events for parallel batching.
+std::unique_ptr<power::PowerManager> make_power_manager(sim::Engine& engine, core::World& world,
+                                                        const PowerSpec& spec, double cycle_s,
+                                                        double cap_w_override, sim::ShardId shard) {
+  validate_power_spec(spec);
+  power::IdleParkConfig park_cfg;
+  park_cfg.idle_timeout_s = spec.idle_timeout_s;
+  park_cfg.headroom_factor = spec.headroom_factor;
+  power::PowerOptions options;
+  options.check_interval =
+      util::Seconds{spec.check_interval_s > 0.0 ? spec.check_interval_s : cycle_s};
+  options.park_depth = power::park_depth_from_string(spec.park_state);
+  options.cap_w = cap_w_override >= 0.0 ? cap_w_override : spec.cap_w;
+  options.min_active_nodes = spec.min_active_nodes;
+  options.shard = shard;
+  return std::make_unique<power::PowerManager>(
+      engine, world, power_model_from_spec(spec),
+      power::make_consolidation_policy(spec.policy, park_cfg), options);
+}
+
+}  // namespace
+
+FederatedResult run_federated_experiment(const Scenario& fs, const ExperimentOptions& options) {
   if (fs.domains.empty()) {
     throw std::invalid_argument("run_federated_experiment: no domains");
   }
@@ -103,7 +154,7 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
   ctrl_cfg.cycle = util::Seconds{fs.controller.cycle_s};
   for (std::size_t i = 0; i < fs.domains.size(); ++i) {
     const DomainSpec& spec = fs.domains[i];
-    // Domain 0's noise seed is the single-world one (its λ-observation
+    // Domain 0's noise seed is the one-domain one (its λ-observation
     // stream is pinned by the golden digests); later domains get
     // independent streams.
     const std::uint64_t noise_seed =
@@ -298,8 +349,7 @@ FederatedResult run_federated_experiment(const FederatedScenario& fs,
     for (const DomainSpec& d : fs.domains) {
       nodes_per_domain.push_back(static_cast<std::size_t>(d.cluster.total_nodes()));
     }
-    validate_fault_spec(fs.faults, nodes_per_domain, /*federated=*/true, fs.migration.enabled,
-                        horizon);
+    validate_fault_spec(fs.faults, nodes_per_domain, fs.migration.enabled, horizon);
     faults::FaultOptions fault_opts;
     fault_opts.checkpoint_interval_s = fs.faults.checkpoint_interval_s;
     fault_opts.max_concurrent_repairs = fs.faults.max_concurrent_repairs;

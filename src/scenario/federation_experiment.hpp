@@ -1,13 +1,14 @@
 #pragma once
 
-// Federated (multi-datacenter) experiments: N controller domains on one
+// The experiment runner: a Scenario's N controller domains on one
 // engine, one shared workload stream routed across them.
 //
 // run_federated_experiment is the only experiment runner: run_experiment
-// is the 1-domain federated run (see scenario/experiment.hpp), so every
+// is its 1-domain adaptor (see scenario/experiment.hpp), so every
 // subsystem — policy, metrics, power, faults, migration, obs, SLA — is
-// wired here once. Single-world behaviour is pinned by the golden
-// digests in tests/golden_digest_test.cpp.
+// wired here once, including the runner-only construction of each
+// domain's policy and power manager. Single-domain behaviour is pinned
+// by the golden digests in tests/golden_digest_test.cpp.
 
 #include <cstddef>
 #include <cstdint>
@@ -22,131 +23,15 @@
 
 namespace heteroplace::scenario {
 
-/// One controller domain's shard of the federation.
-struct DomainSpec {
-  std::string name{"domain"};
-  ClusterSpec cluster;
-  /// First control evaluation for this domain's controller; < 0 means
-  /// auto-stagger (index × cycle / domain_count, domain 0 at phase 0).
-  double first_cycle_at_s{-1.0};
-  /// Per-domain power-cap override in watts; < 0 inherits the federation
-  /// spec's power.cap_w (0 there = uncapped).
-  double power_cap_w{-1.0};
-};
-
-/// Scheduled health change: at `at_s`, set the domain's router weight
-/// (brownout < 1, drain = 0, recovery = 1). The router re-splits every
-/// app's demand under the new weights immediately.
-struct WeightEvent {
-  std::size_t domain{0};
-  double at_s{0.0};
-  double weight{1.0};
-};
-
-/// One directed inter-domain link override for the TransferModel. A
-/// component left at exactly -1.0 (the "unset" default) keeps the model
-/// default; any other negative value is rejected loudly by the runner.
-/// Bandwidths are MB/s.
-struct LinkSpec {
-  std::size_t from{0};
-  std::size_t to{0};
-  double bandwidth_mb_per_s{-1.0};
-  double latency_s{-1.0};
-};
-
-/// Shared-uplink capacity override for one domain (uplink link mode).
-struct UplinkSpec {
-  std::size_t domain{0};
-  double bandwidth_mb_per_s{0.0};
-};
-
-/// Live-migration subsystem configuration. Disabled by default: a
-/// migration-disabled run takes exactly the pre-migration code path and
-/// reproduces its output bit for bit (pinned by tests/migration_test.cpp).
-struct MigrationSpec {
-  bool enabled{false};
-  /// "drain", "rebalance", or "drain+rebalance".
-  std::string policy{"drain"};
-  double check_interval_s{60.0};
-  int max_moves_per_tick{8};
-  double high_watermark{1.1};
-  double low_watermark{0.8};
-  /// Link contention granularity: "p2p" (per ordered domain pair) or
-  /// "uplink" (one shared pool per source domain).
-  std::string link_mode{"p2p"};
-  /// Movable-job ordering: "fifo" (list order, the pre-cost-aware
-  /// behavior) or "cost" (image/remaining-work/SLA-slack ranking).
-  std::string selection{"fifo"};
-  /// Rebalance congestion guard: skip sources with this many outbound
-  /// transfers already queued (0 = no guard; see PolicyConfig).
-  int max_queued_transfers{0};
-  /// Link-fault resilience (see MigrationOptions): retry budget and the
-  /// capped exponential backoff for transfers killed by a link fault.
-  int max_transfer_retries{3};
-  double retry_backoff_s{30.0};
-  double retry_backoff_max_s{480.0};
-  /// Re-rank queued transfers cheapest-image-first when a link pool backs
-  /// up. Off by default (FIFO order is part of the pinned behavior).
-  bool rescore_queued_transfers{false};
-  /// Defer destination attaches to just before the destination
-  /// controller's next cycle so that cycle plans the job (see
-  /// MigrationOptions::align_attach). Off by default (immediate attach
-  /// is part of the pinned behavior).
-  bool align_attach{false};
-  double default_bandwidth_mb_per_s{125.0};
-  double default_latency_s{2.0};
-  std::vector<LinkSpec> links;
-  std::vector<UplinkSpec> uplinks;
-};
-
-struct FederatedScenario {
-  std::string name{"federated"};
-  std::vector<DomainSpec> domains;
-  std::vector<TxAppScenario> apps;
-  JobStreamSpec jobs;
-  ControllerSpec controller;
-  /// Router choice: "least-loaded", "capacity-weighted", or "sticky".
-  std::string router{"least-loaded"};
-  std::vector<WeightEvent> weight_events;
-  MigrationSpec migration;
-  PowerSpec power;
-  FaultSpec faults;
-  ObsSpec obs;
-  /// SLO burn-rate alert specs (see Scenario::slos); evaluated on the
-  /// shared sampling clock against the per-domain ledgers merged in
-  /// domain order.
-  std::vector<obs::SloSpec> slos;
-  double horizon_s{0.0};
-  double sample_interval_s{600.0};
-  std::uint64_t seed{42};
-  /// Engine worker threads (see Scenario::engine_threads). Federated
-  /// runs are where N > 1 pays off: same-timestamp control cycles,
-  /// executor passes, and power ticks of distinct domains run
-  /// concurrently between deterministic merge barriers.
-  int engine_threads{1};
-};
-
 /// Throw util::ConfigError naming the offending key if the spec's
 /// link_mode / selection strings are invalid. The config loader and the
-/// federated runner both call this; CLI front-ends that fill the strings
+/// runner both call this; CLI front-ends that fill the strings
 /// from flags call it early for a clean usage-style failure instead of
 /// an uncaught exception mid-run.
 void validate_migration_modes(const MigrationSpec& spec);
 
-/// Shard a single-cluster scenario into `n_domains` equal domains: the
-/// node count (or each class pool) split as evenly as possible,
-/// remainder to the earliest domains. Every other Scenario field (apps,
-/// jobs, controller, power, faults, obs, SLOs, seeds) carries over
-/// unchanged; this is the one place those fields are copied, and
-/// federated_scenario_from_config builds on it. n_domains = 1 yields the
-/// scenario's exact single-cluster equivalent. A split that leaves a
-/// domain without nodes is allowed here (the config loader's per-domain
-/// overrides may fill it) and rejected by run_federated_experiment.
-[[nodiscard]] FederatedScenario federate(const Scenario& single, int n_domains,
-                                         const std::string& router = "least-loaded");
-
-/// Per-domain outcome: the same series + summary a single-cluster run
-/// produces, plus how many jobs the router sent here.
+/// Per-domain outcome: the same series + summary run_experiment returns
+/// for a one-domain scenario, plus how many jobs the router sent here.
 struct DomainResult {
   std::string name;
   ExperimentResult result;
@@ -190,9 +75,10 @@ struct FederatedResult {
   obs::ProfileReport profile;
 };
 
-/// Run a federated scenario. Deterministic for a fixed (scenario, options)
-/// pair. options.policy selects every domain's local policy.
-[[nodiscard]] FederatedResult run_federated_experiment(const FederatedScenario& scenario,
+/// Run a scenario with any number of domains (>= 1). Deterministic for a
+/// fixed (scenario, options) pair. options.policy selects every domain's
+/// local policy.
+[[nodiscard]] FederatedResult run_federated_experiment(const Scenario& scenario,
                                                        const ExperimentOptions& options = {});
 
 }  // namespace heteroplace::scenario

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "power/policy.hpp"
 #include "util/config.hpp"
 
 namespace heteroplace::scenario {
@@ -46,25 +47,6 @@ power::PowerModel power_model_from_spec(const PowerSpec& spec) {
   model.park_latency_s = spec.park_latency_s;
   model.wake_latency_s = spec.wake_latency_s;
   return model;
-}
-
-std::unique_ptr<power::PowerManager> make_power_manager(sim::Engine& engine, core::World& world,
-                                                        const PowerSpec& spec, double cycle_s,
-                                                        double cap_w_override, sim::ShardId shard) {
-  validate_power_spec(spec);
-  power::IdleParkConfig park_cfg;
-  park_cfg.idle_timeout_s = spec.idle_timeout_s;
-  park_cfg.headroom_factor = spec.headroom_factor;
-  power::PowerOptions options;
-  options.check_interval =
-      util::Seconds{spec.check_interval_s > 0.0 ? spec.check_interval_s : cycle_s};
-  options.park_depth = power::park_depth_from_string(spec.park_state);
-  options.cap_w = cap_w_override >= 0.0 ? cap_w_override : spec.cap_w;
-  options.min_active_nodes = spec.min_active_nodes;
-  options.shard = shard;
-  return std::make_unique<power::PowerManager>(
-      engine, world, power_model_from_spec(spec),
-      power::make_consolidation_policy(spec.policy, park_cfg), options);
 }
 
 }  // namespace heteroplace::scenario

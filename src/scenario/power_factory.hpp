@@ -1,18 +1,13 @@
 #pragma once
 
-// Shared power-subsystem construction for the experiment runners.
+// Power-spec validation, shared by the config loader and the runner.
 //
-// The single-cluster runner builds one PowerManager; the federated runner
-// builds one per domain (each domain meters and consolidates its own
-// cluster, optionally under its own cap). Both must translate the same
-// PowerSpec identically, so the construction lives here once.
+// The runner (scenario/federation_experiment.cpp) builds one
+// PowerManager per domain from the same PowerSpec; the loader rejects a
+// spec the runner could not build, with the same power.* key names.
 
-#include <memory>
-
-#include "core/world.hpp"
-#include "power/manager.hpp"
+#include "power/power_model.hpp"
 #include "scenario/scenario.hpp"
-#include "sim/engine.hpp"
 
 namespace heteroplace::scenario {
 
@@ -22,16 +17,8 @@ namespace heteroplace::scenario {
 /// loader and the runner call this.
 void validate_power_spec(const PowerSpec& spec);
 
-/// Build the node power table a spec describes.
+/// Build the node power table a spec describes (validate_power_spec
+/// checks the table this returns).
 [[nodiscard]] power::PowerModel power_model_from_spec(const PowerSpec& spec);
-
-/// Build a manager for `world` (cluster must already be populated).
-/// `cycle_s` supplies the default check interval when the spec leaves it
-/// at 0; `cap_w_override` >= 0 replaces the spec's cap (per-domain caps
-/// in federated runs), < 0 keeps it. `shard` tags the manager's events
-/// for parallel batching (federated runs pass the domain index).
-[[nodiscard]] std::unique_ptr<power::PowerManager> make_power_manager(
-    sim::Engine& engine, core::World& world, const PowerSpec& spec, double cycle_s,
-    double cap_w_override = -1.0, sim::ShardId shard = sim::kNoShard);
 
 }  // namespace heteroplace::scenario

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
 namespace heteroplace::scenario {
 
@@ -19,13 +21,38 @@ double ClusterSpec::max_node_cpu_mhz() const {
   return best;
 }
 
+Scenario federate(Scenario s, int n_domains) {
+  if (n_domains < 1) throw std::invalid_argument("federate: need at least one domain");
+  if (s.domains.size() != 1) {
+    throw std::invalid_argument("federate: scenario must have exactly one domain (has " +
+                                std::to_string(s.domains.size()) + ")");
+  }
+  const DomainSpec whole = std::move(s.domains.front());
+  s.domains.clear();
+  // Even split, remainder to the earliest domains: of the node count for
+  // a scalar spec, of each class pool for a heterogeneous one.
+  const auto share = [n_domains](int total, int i) {
+    return total / n_domains + (i < total % n_domains ? 1 : 0);
+  };
+  for (int i = 0; i < n_domains; ++i) {
+    DomainSpec d = whole;
+    d.name = "dc" + std::to_string(i);
+    d.cluster.nodes = share(d.cluster.nodes, i);
+    for (ClassPoolSpec& pool : d.cluster.classes) pool.count = share(pool.count, i);
+    s.domains.push_back(std::move(d));
+  }
+  if (n_domains > 1) s.name += "-federated";
+  return s;
+}
+
 Scenario section3_scenario() {
   Scenario s;
   s.name = "section3";
 
-  s.cluster.nodes = 25;
-  s.cluster.cpu_per_node_mhz = 12000.0;  // 4 × 3 GHz
-  s.cluster.mem_per_node_mb = 4096.0;
+  ClusterSpec& cluster = s.domains.front().cluster;
+  cluster.nodes = 25;
+  cluster.cpu_per_node_mhz = 12000.0;  // 4 × 3 GHz
+  cluster.mem_per_node_mb = 4096.0;
 
   // Long-running jobs: identical, single-processor, sized so that the
   // offered batch load slightly exceeds the capacity left over by the
@@ -70,7 +97,8 @@ Scenario section3_scaled(double scale) {
   if (scale >= 1.0) return s;
 
   s.name = "section3-scaled";
-  s.cluster.nodes = std::max(2, static_cast<int>(std::lround(25 * scale)));
+  int& nodes = s.domains.front().cluster.nodes;
+  nodes = std::max(2, static_cast<int>(std::lround(25 * scale)));
   s.jobs.count = std::max<long>(4, std::lround(800 * scale));
   // Same inter-arrival, proportionally shorter jobs: the offered batch
   // load stays slightly above the scaled cluster's leftover capacity and
@@ -81,7 +109,7 @@ Scenario section3_scaled(double scale) {
   // loosening the response-time goal, keeping demand/capacity constant.
   s.apps[0].trace = workload::DemandTrace{24.0 * scale};
   s.apps[0].spec.rt_goal = util::Seconds{1.2 / scale};
-  s.apps[0].spec.max_instances = s.cluster.nodes;
+  s.apps[0].spec.max_instances = nodes;
   return s;
 }
 

@@ -1,9 +1,10 @@
 #pragma once
 
 // Scenario descriptions: everything needed to run an experiment —
-// cluster topology, workloads, controller configuration — plus builders
-// for the paper's Section 3 evaluation (and scaled-down variants used in
-// tests and fast ablations).
+// controller domains and their clusters, workloads, controller and
+// subsystem configuration — plus builders for the paper's Section 3
+// evaluation (and scaled-down variants used in tests and fast
+// ablations) and federate(), which shards a one-domain scenario.
 
 #include <cstdint>
 #include <string>
@@ -189,17 +190,107 @@ struct ObsSpec {
   }
 };
 
+/// One controller domain: its own cluster and controller phase.
+struct DomainSpec {
+  /// federate() names domain i "dc<i>"; the default is a one-domain
+  /// scenario's name.
+  std::string name{"dc0"};
+  ClusterSpec cluster;
+  /// First control evaluation for this domain's controller; < 0 means
+  /// auto-stagger (index × cycle / domain_count, domain 0 at phase 0).
+  double first_cycle_at_s{-1.0};
+  /// Per-domain power-cap override in watts; < 0 inherits the federation
+  /// spec's power.cap_w (0 there = uncapped).
+  double power_cap_w{-1.0};
+};
+
+/// Scheduled health change: at `at_s`, set the domain's router weight
+/// (brownout < 1, drain = 0, recovery = 1). The router re-splits every
+/// app's demand under the new weights immediately.
+struct WeightEvent {
+  std::size_t domain{0};
+  double at_s{0.0};
+  double weight{1.0};
+};
+
+/// One directed inter-domain link override for the TransferModel. A
+/// component left at exactly -1.0 (the "unset" default) keeps the model
+/// default; any other negative value is rejected loudly by the runner.
+/// Bandwidths are MB/s.
+struct LinkSpec {
+  std::size_t from{0};
+  std::size_t to{0};
+  double bandwidth_mb_per_s{-1.0};
+  double latency_s{-1.0};
+};
+
+/// Shared-uplink capacity override for one domain (uplink link mode).
+struct UplinkSpec {
+  std::size_t domain{0};
+  double bandwidth_mb_per_s{0.0};
+};
+
+/// Live-migration subsystem configuration. Disabled by default: a
+/// migration-disabled run takes exactly the pre-migration code path and
+/// reproduces its output bit for bit (pinned by tests/migration_test.cpp).
+struct MigrationSpec {
+  bool enabled{false};
+  /// "drain", "rebalance", or "drain+rebalance".
+  std::string policy{"drain"};
+  double check_interval_s{60.0};
+  int max_moves_per_tick{8};
+  double high_watermark{1.1};
+  double low_watermark{0.8};
+  /// Link contention granularity: "p2p" (per ordered domain pair) or
+  /// "uplink" (one shared pool per source domain).
+  std::string link_mode{"p2p"};
+  /// Movable-job ordering: "fifo" (list order, the pre-cost-aware
+  /// behavior) or "cost" (image/remaining-work/SLA-slack ranking).
+  std::string selection{"fifo"};
+  /// Rebalance congestion guard: skip sources with this many outbound
+  /// transfers already queued (0 = no guard; see PolicyConfig).
+  int max_queued_transfers{0};
+  /// Link-fault resilience (see MigrationOptions): retry budget and the
+  /// capped exponential backoff for transfers killed by a link fault.
+  int max_transfer_retries{3};
+  double retry_backoff_s{30.0};
+  double retry_backoff_max_s{480.0};
+  /// Re-rank queued transfers cheapest-image-first when a link pool backs
+  /// up. Off by default (FIFO order is part of the pinned behavior).
+  bool rescore_queued_transfers{false};
+  /// Defer destination attaches to just before the destination
+  /// controller's next cycle so that cycle plans the job (see
+  /// MigrationOptions::align_attach). Off by default (immediate attach
+  /// is part of the pinned behavior).
+  bool align_attach{false};
+  double default_bandwidth_mb_per_s{125.0};
+  double default_latency_s{2.0};
+  std::vector<LinkSpec> links;
+  std::vector<UplinkSpec> uplinks;
+};
+
+/// A complete experiment: the cluster's controller domains, the shared
+/// workload, the controller and every optional subsystem. The default
+/// is one domain named dc0 holding the default ClusterSpec; the paper's
+/// single-cluster experiments are that one-domain case, and federate()
+/// shards it into N domains.
 struct Scenario {
   std::string name{"scenario"};
-  ClusterSpec cluster;
+  std::vector<DomainSpec> domains{DomainSpec{}};
   std::vector<TxAppScenario> apps;
   JobStreamSpec jobs;
   ControllerSpec controller;
+  /// Router choice: "least-loaded", "capacity-weighted", or "sticky".
+  std::string router{"least-loaded"};
+  std::vector<WeightEvent> weight_events;
+  MigrationSpec migration;
   PowerSpec power;
   FaultSpec faults;
   ObsSpec obs;
   /// SLO burn-rate alert specs (config keys `slos` + `slo.<app>.*`);
   /// `app` names a tx app or "jobs". Any entry enables the SLA ledger.
+  /// Evaluated on the shared sampling clock against the per-domain
+  /// ledgers merged in domain order.
   std::vector<obs::SloSpec> slos;
   /// Simulated horizon; 0 = run until every submitted job completes.
   double horizon_s{0.0};
@@ -208,9 +299,25 @@ struct Scenario {
   std::uint64_t seed{42};
   /// Engine worker threads (config key engine.threads). 1 = the pinned
   /// serial reference; N > 1 runs same-timestamp per-domain event
-  /// batches on a worker pool, bit-identical to 1 by construction.
+  /// batches (control cycles, executor passes, power ticks) on a worker
+  /// pool, bit-identical to 1 by construction.
   int engine_threads{1};
 };
+
+/// The name perfbench/hpbench.cpp uses for Scenario. That driver is
+/// frozen with the repo benchmark; no other code may use this name.
+using FederatedScenario = Scenario;
+
+/// Shard a one-domain scenario into `n_domains` domains named dc<i>: the
+/// node count (or each class pool) split as evenly as possible,
+/// remainder to the earliest domains; every domain otherwise keeps the
+/// original DomainSpec. For n_domains > 1 the name gains a "-federated"
+/// suffix; n_domains = 1 returns the scenario with its domain renamed
+/// dc0. Throws std::invalid_argument unless `s` has exactly one domain.
+/// A split that leaves a domain without nodes is allowed here (the
+/// config loader's per-domain overrides may fill it) and rejected by
+/// run_federated_experiment.
+[[nodiscard]] Scenario federate(Scenario s, int n_domains);
 
 /// The paper's Section 3 experiment: 25 nodes × 4 × 3000 MHz, 800
 /// identical jobs (exponential inter-arrival, mean 260 s), 3 job VMs max

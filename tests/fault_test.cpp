@@ -487,12 +487,12 @@ TEST(FaultRecovery, BackedUpLinkRescoresQueuedTransfersCheapestFirst) {
 
 namespace {
 
-scenario::FederatedScenario small_chaos_scenario() {
+scenario::Scenario small_chaos_scenario() {
   scenario::Scenario base = scenario::section3_scaled(0.2);
   base.seed = 42;
   base.jobs.count = 20;
   base.jobs.mean_interarrival_s = 400.0;
-  scenario::FederatedScenario fs = scenario::federate(base, 3);
+  scenario::Scenario fs = scenario::federate(base, 3);
   fs.horizon_s = 60000.0;
   fs.migration.enabled = true;
   fs.migration.policy = "drain";
@@ -508,7 +508,7 @@ scenario::FederatedScenario small_chaos_scenario() {
 }  // namespace
 
 TEST(FaultScenario, ChaosRunsAreDeterministicAndAccounted) {
-  const scenario::FederatedScenario fs = small_chaos_scenario();
+  const scenario::Scenario fs = small_chaos_scenario();
   scenario::ExperimentOptions opt;
   const auto r1 = scenario::run_federated_experiment(fs, opt);
   const auto r2 = scenario::run_federated_experiment(fs, opt);
@@ -571,8 +571,8 @@ TEST(FaultScenario, DisabledAndEnabledEmptyRunsAreBitIdentical) {
 TEST(FaultScenario, FederatedDisabledAndEnabledEmptyRunsAreBitIdentical) {
   scenario::Scenario base = scenario::section3_scaled(0.2);
   base.seed = 42;
-  scenario::FederatedScenario off = scenario::federate(base, 3);
-  scenario::FederatedScenario empty = off;
+  scenario::Scenario off = scenario::federate(base, 3);
+  scenario::Scenario empty = off;
   empty.faults.enabled = true;
 
   scenario::ExperimentOptions opt;
@@ -635,8 +635,8 @@ TEST(FaultConfig, KeysRoundTripThroughLoader) {
   EXPECT_DOUBLE_EQ(s.faults.events[0].at_s, 1000.0);
   EXPECT_DOUBLE_EQ(s.faults.events[0].duration_s, 600.0);
 
-  // Link faults and blackouts flow through the federated loader ("from"
-  // names a link event's source domain).
+  // Link faults and blackouts load once the config has domains >= 2
+  // ("from" names a link event's source domain).
   cfg.set("domains", "3");
   cfg.set("migration.enabled", "true");
   cfg.set("fault.link_mttf_s", "30000");
@@ -652,7 +652,7 @@ TEST(FaultConfig, KeysRoundTripThroughLoader) {
   cfg.set("fault.event.2.domain", "1");
   cfg.set("fault.event.2.at_s", "9000");
   cfg.set("fault.event.2.duration_s", "1800");
-  const scenario::FederatedScenario fs = scenario::federated_scenario_from_config(cfg);
+  const scenario::Scenario fs = scenario::scenario_from_config(cfg);
   EXPECT_DOUBLE_EQ(fs.faults.link_mttf_s, 30000.0);
   ASSERT_EQ(fs.faults.events.size(), 3u);
   EXPECT_EQ(fs.faults.events[1].kind, "link-down");
@@ -727,7 +727,7 @@ TEST(FaultConfig, RejectsInvalidValues) {
     cfg.set("domains", "3");
     cfg.set("fault.enabled", "true");
     for (const auto& [k, v] : extra) cfg.set(k, v);
-    EXPECT_THROW(scenario::federated_scenario_from_config(cfg), util::ConfigError)
+    EXPECT_THROW(scenario::scenario_from_config(cfg), util::ConfigError)
         << extra.front().first << " = " << extra.front().second;
   };
   // Link faults need the migration subsystem (which owns the links).
@@ -762,7 +762,7 @@ TEST(FaultConfig, MigrationRetryKeysRoundTripAndValidate) {
   cfg.set("migration.retry_backoff_s", "20");
   cfg.set("migration.retry_backoff_max_s", "320");
   cfg.set("migration.rescore_queued_transfers", "true");
-  const scenario::FederatedScenario fs = scenario::federated_scenario_from_config(cfg);
+  const scenario::Scenario fs = scenario::scenario_from_config(cfg);
   EXPECT_EQ(fs.migration.max_transfer_retries, 5);
   EXPECT_DOUBLE_EQ(fs.migration.retry_backoff_s, 20.0);
   EXPECT_DOUBLE_EQ(fs.migration.retry_backoff_max_s, 320.0);
@@ -773,7 +773,7 @@ TEST(FaultConfig, MigrationRetryKeysRoundTripAndValidate) {
     cfg.set("domains", "2");
     cfg.set("migration.enabled", "true");
     cfg.set(key, value);
-    EXPECT_THROW(scenario::federated_scenario_from_config(cfg), util::ConfigError)
+    EXPECT_THROW(scenario::scenario_from_config(cfg), util::ConfigError)
         << key << " = " << value;
   };
   reject("migration.max_transfer_retries", "-1");

@@ -140,7 +140,7 @@ const scenario::FederatedResult& three_domain_run() {
   static const scenario::FederatedResult r = [] {
     // Skewed load: 3 unequal domains (the federate() split of 5 nodes is
     // 2/2/1) under the mid-scenario's crowding job stream.
-    scenario::FederatedScenario fs = scenario::federate(mid_scenario(), 3);
+    scenario::Scenario fs = scenario::federate(mid_scenario(), 3);
     scenario::ExperimentOptions opt;
     opt.validate_invariants = true;
     opt.max_sim_time_s = 2.0e6;
@@ -394,7 +394,7 @@ TEST(FederationIntegration, ExplicitZeroPhaseOffsetIsHonored) {
   // first_cycle_at_s = 0 is an explicit phase request, not "unset": the
   // domain must fire at t=0 in phase with domain 0 instead of being
   // auto-staggered.
-  scenario::FederatedScenario fs = scenario::federate(mid_scenario(), 3);
+  scenario::Scenario fs = scenario::federate(mid_scenario(), 3);
   fs.domains[1].first_cycle_at_s = 0.0;
   scenario::ExperimentOptions opt;
   opt.horizon_override_s = 5000.0;
@@ -444,7 +444,8 @@ TEST(Routers, FactoryRejectsUnknownNames) {
 TEST(FederationIntegration, DrainedStickyDomainHostsNothingUntilRecovery) {
   auto base = scenario::section3_scaled(0.2);
   base.seed = 42;
-  scenario::FederatedScenario fs = scenario::federate(base, 3, "sticky");
+  scenario::Scenario fs = scenario::federate(base, 3);
+  fs.router = "sticky";
   fs.weight_events.push_back({1, 12000.0, 0.0});
   fs.weight_events.push_back({1, 30000.0, 1.0});
   fs.migration.enabled = true;

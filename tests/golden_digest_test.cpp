@@ -77,11 +77,11 @@ const SinglePin kSinglePins[] = {
      0xbb8473f4c0ce81fbULL},
     {"explicit machine classes",
      [](scenario::Scenario& s, scenario::ExperimentOptions&) {
-       s.cluster.classes = {{make_class("x86", "x86_64", 4, 3000.0, 4096.0), 3},
+       s.domains[0].cluster.classes = {{make_class("x86", "x86_64", 4, 3000.0, 4096.0), 3},
                             {make_class("arm", "arm64", 8, 2000.0, 6144.0, 0.9), 2}};
-       scenario::validate_class_pools(s.cluster);
-       s.apps[0].spec.max_instances = s.cluster.total_nodes();
-       s.apps[0].spec.max_cpu_per_instance = util::CpuMhz{s.cluster.max_node_cpu_mhz()};
+       scenario::validate_class_pools(s.domains[0].cluster);
+       s.apps[0].spec.max_instances = s.domains[0].cluster.total_nodes();
+       s.apps[0].spec.max_cpu_per_instance = util::CpuMhz{s.domains[0].cluster.max_node_cpu_mhz()};
        s.apps[0].spec.constraint.arch = "x86_64";
      },
      0x7bb393e9cbe6526fULL},
@@ -130,13 +130,13 @@ const SinglePin kSinglePins[] = {
 /// The federated shape of the chaos_datacenter smoke, shortened: three
 /// domains, drain migration over faulty links, stochastic crashes, a
 /// blacked-out domain and two SLOs.
-scenario::FederatedScenario chaos_shape() {
+scenario::Scenario chaos_shape() {
   scenario::Scenario base = scenario::section3_scaled(0.4);  // 10 nodes
   base.name = "chaos-datacenter";
   base.jobs.count = 60;
   base.jobs.mean_interarrival_s = 1500.0;
   base.seed = 11;
-  scenario::FederatedScenario fs = scenario::federate(base, 3);
+  scenario::Scenario fs = scenario::federate(base, 3);
   fs.domains[0].name = "dc-primary";
   fs.domains[1].name = "dc-east";
   fs.domains[2].name = "dc-west";
@@ -166,17 +166,17 @@ scenario::FederatedScenario chaos_shape() {
 
 /// The hetero_datacenter pools (x86 / arm / gpu) federated over two
 /// domains, with the transactional app pinned to x86_64 and power on.
-scenario::FederatedScenario hetero_shape() {
+scenario::Scenario hetero_shape() {
   scenario::Scenario base = scenario::section3_scaled(0.4);
   base.name = "hetero-datacenter";
   cluster::MachineClass gpu = make_class("gpu", "x86_64", 8, 3000.0, 16384.0);
   gpu.accel = {"gpu"};
-  base.cluster.classes = {{make_class("x86", "x86_64", 8, 2500.0, 8192.0), 10},
+  base.domains[0].cluster.classes = {{make_class("x86", "x86_64", 8, 2500.0, 8192.0), 10},
                           {make_class("arm", "arm64", 16, 2000.0, 12288.0, 0.9), 8},
                           {gpu, 4}};
-  scenario::validate_class_pools(base.cluster);
-  base.apps[0].spec.max_instances = base.cluster.total_nodes();
-  base.apps[0].spec.max_cpu_per_instance = util::CpuMhz{base.cluster.max_node_cpu_mhz()};
+  scenario::validate_class_pools(base.domains[0].cluster);
+  base.apps[0].spec.max_instances = base.domains[0].cluster.total_nodes();
+  base.apps[0].spec.max_cpu_per_instance = util::CpuMhz{base.domains[0].cluster.max_node_cpu_mhz()};
   base.apps[0].spec.constraint.arch = "x86_64";
   base.jobs.count = 80;
   base.jobs.mean_interarrival_s = 200.0;
@@ -224,7 +224,7 @@ TEST(GoldenDigest, SingleWorldPins) {
 
 TEST(GoldenDigest, ChaosShapeFederatedPin) {
   for (int threads : {1, 4}) {
-    scenario::FederatedScenario fs = chaos_shape();
+    scenario::Scenario fs = chaos_shape();
     fs.engine_threads = threads;
     scenario::ExperimentOptions opt;
     opt.validate_invariants = true;
@@ -236,7 +236,7 @@ TEST(GoldenDigest, ChaosShapeFederatedPin) {
 
 TEST(GoldenDigest, HeteroShapeFederatedPin) {
   for (int threads : {1, 4}) {
-    scenario::FederatedScenario fs = hetero_shape();
+    scenario::Scenario fs = hetero_shape();
     fs.engine_threads = threads;
     const auto res = scenario::run_federated_experiment(fs, scenario::ExperimentOptions{});
     EXPECT_GT(res.summary.jobs_completed, 0);

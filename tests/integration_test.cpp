@@ -167,7 +167,7 @@ TEST(ServiceDifferentiation, GoldOutperformsSilver) {
   // fits the smaller cluster (≈94% of 72000 MHz) and the equalized level
   // stays positive — importance priorities are defined on positive
   // utility.
-  s.cluster.nodes = 6;
+  s.domains[0].cluster.nodes = 6;
   s.jobs.count = 40;
   s.jobs.tmpl.work = util::MhzSeconds{1.0e7};
   s.apps[0].trace = workload::DemandTrace{3.0};

@@ -57,11 +57,11 @@ scenario::Scenario scalar_single_scenario() {
   return s;
 }
 
-scenario::FederatedScenario scalar_federated_scenario() {
+scenario::Scenario scalar_federated_scenario() {
   auto base = scenario::section3_scaled(0.2);
   base.seed = 42;
   base.horizon_s = 40000.0;
-  scenario::FederatedScenario fs = scenario::federate(base, 3);
+  scenario::Scenario fs = scenario::federate(base, 3);
   for (auto& d : fs.domains) d.first_cycle_at_s = 0.0;
   fs.migration.enabled = true;
   fs.migration.policy = "drain+rebalance";
@@ -327,27 +327,27 @@ std::string hetero_config_text() {
 TEST(MachineClassConfig, ClassPoolsAndConstraintsParse) {
   const auto s =
       scenario::scenario_from_config(util::Config::from_string(hetero_config_text()));
-  ASSERT_TRUE(s.cluster.heterogeneous());
-  ASSERT_EQ(s.cluster.classes.size(), 3u);
-  EXPECT_EQ(s.cluster.total_nodes(), 9);
+  ASSERT_TRUE(s.domains[0].cluster.heterogeneous());
+  ASSERT_EQ(s.domains[0].cluster.classes.size(), 3u);
+  EXPECT_EQ(s.domains[0].cluster.total_nodes(), 9);
 
   // `classes = x86,arm,gpu` is a tag list: pools come back sorted by
   // name (arm, gpu, x86) so the layout is declaration-order independent.
-  const auto& arm = s.cluster.classes[0];
+  const auto& arm = s.domains[0].cluster.classes[0];
   EXPECT_EQ(arm.klass.name, "arm");
   EXPECT_EQ(arm.count, 3);
   EXPECT_DOUBLE_EQ(arm.klass.speed_factor, 0.9);
   EXPECT_DOUBLE_EQ(arm.klass.delivered_core_mhz(), 1800.0);
   EXPECT_DOUBLE_EQ(arm.klass.delivered_cpu_mhz(), 16.0 * 1800.0);
 
-  const auto& x86 = s.cluster.classes[2];
+  const auto& x86 = s.domains[0].cluster.classes[2];
   EXPECT_EQ(x86.klass.name, "x86");
   EXPECT_EQ(x86.klass.arch, "x86_64");
   EXPECT_EQ(x86.klass.cores, 8);
   EXPECT_DOUBLE_EQ(x86.klass.core_mhz, 2500.0);
   EXPECT_EQ(x86.count, 4);
 
-  const auto& gpu = s.cluster.classes[1];
+  const auto& gpu = s.domains[0].cluster.classes[1];
   EXPECT_EQ(gpu.klass.name, "gpu");
   EXPECT_EQ(gpu.count, 2);
   ASSERT_EQ(gpu.klass.accel.size(), 1u);
@@ -365,10 +365,10 @@ TEST(MachineClassConfig, ScenarioToConfigRoundTripsClassesAndConstraints) {
       scenario::scenario_from_config(util::Config::from_string(hetero_config_text()));
   const auto back = scenario::scenario_from_config(
       util::Config::from_string(scenario::scenario_to_config(s)));
-  ASSERT_EQ(back.cluster.classes.size(), s.cluster.classes.size());
-  for (std::size_t i = 0; i < s.cluster.classes.size(); ++i) {
-    const auto& a = s.cluster.classes[i];
-    const auto& b = back.cluster.classes[i];
+  ASSERT_EQ(back.domains[0].cluster.classes.size(), s.domains[0].cluster.classes.size());
+  for (std::size_t i = 0; i < s.domains[0].cluster.classes.size(); ++i) {
+    const auto& a = s.domains[0].cluster.classes[i];
+    const auto& b = back.domains[0].cluster.classes[i];
     EXPECT_EQ(b.klass.name, a.klass.name);
     EXPECT_EQ(b.klass.arch, a.klass.arch);
     EXPECT_EQ(b.klass.cores, a.klass.cores);
@@ -441,7 +441,7 @@ TEST(MachineClassConfig, FederatedDomainClassCountOverride) {
       "domains = 2\n"
       "domain.0.class.gpu.count = 2\n"
       "domain.1.class.gpu.count = 0\n");
-  const auto fs = scenario::federated_scenario_from_config(cfg);
+  const auto fs = scenario::scenario_from_config(cfg);
   ASSERT_EQ(fs.domains.size(), 2u);
   // Pools sort by name (arm, gpu, x86). Even split of arm (3 → 2+1) and
   // x86 (4 → 2+2); gpu placed entirely in domain 0 by the override.
@@ -464,6 +464,6 @@ TEST(MachineClassConfig, FederatedScalarDomainKeysRejectedWithClasses) {
       hetero_config_text() +
       "domains = 2\n"
       "domain.0.nodes = 3\n");
-  EXPECT_THROW((void)scenario::federated_scenario_from_config(cfg),
+  EXPECT_THROW((void)scenario::scenario_from_config(cfg),
                util::ConfigError);
 }

@@ -277,11 +277,11 @@ TEST(ParallelEngine, QueueIdsNeverRecycleLiveness) {
 
 namespace {
 
-scenario::FederatedScenario everything_on_scenario() {
+scenario::Scenario everything_on_scenario() {
   auto base = scenario::section3_scaled(0.2);  // 5 nodes, 160 jobs
   base.seed = 42;
   base.horizon_s = 40000.0;
-  scenario::FederatedScenario fs = scenario::federate(base, 3);
+  scenario::Scenario fs = scenario::federate(base, 3);
   // Align every domain's control phase so same-timestamp cycles collide
   // — aligned phases are what the parallel engine batches. (The default
   // stagger would leave nothing concurrent and the pin vacuous.)
@@ -351,11 +351,11 @@ TEST(ParallelEnginePin, FederatedEverythingOnBitIdentical) {
 
 // --- config surface ----------------------------------------------------------
 
-TEST(ParallelEngineConfig, ThreadsKeyParsesIntoBothLoaders) {
+TEST(ParallelEngineConfig, ThreadsKeyParsesForAnyDomainCount) {
   const auto cfg = util::Config::from_string("engine.threads = 4\n");
   EXPECT_EQ(scenario::scenario_from_config(cfg).engine_threads, 4);
   const auto fcfg = util::Config::from_string("engine.threads = 8\ndomains = 2\n");
-  EXPECT_EQ(scenario::federated_scenario_from_config(fcfg).engine_threads, 8);
+  EXPECT_EQ(scenario::scenario_from_config(fcfg).engine_threads, 8);
   EXPECT_EQ(scenario::scenario_from_config(util::Config{}).engine_threads, 1);
 }
 

@@ -414,8 +414,8 @@ TEST(PowerScenario, DisabledAndEnabledIdleRunsAreBitIdentical) {
 TEST(PowerScenario, FederatedDisabledAndEnabledIdleRunsAreBitIdentical) {
   auto base = scenario::section3_scaled(0.2);
   base.seed = 42;
-  scenario::FederatedScenario off = scenario::federate(base, 3);
-  scenario::FederatedScenario idle = off;
+  scenario::Scenario off = scenario::federate(base, 3);
+  scenario::Scenario idle = off;
   idle.power.enabled = true;
   idle.power.policy = "none";
 
@@ -534,10 +534,10 @@ TEST(PowerConfig, KeysRoundTripThroughLoader) {
   EXPECT_DOUBLE_EQ(s.power.wake_latency_s, 90.0);
   EXPECT_EQ(s.power.pstates, 3);
 
-  // Same keys flow into the federated loader, plus per-domain caps.
+  // Same keys with more domains, plus per-domain caps.
   cfg.set("domains", "2");
   cfg.set("domain.1.power_cap_w", "1500");
-  const scenario::FederatedScenario fs = scenario::federated_scenario_from_config(cfg);
+  const scenario::Scenario fs = scenario::scenario_from_config(cfg);
   EXPECT_TRUE(fs.power.enabled);
   EXPECT_DOUBLE_EQ(fs.power.active_w, 300.0);
   EXPECT_DOUBLE_EQ(fs.domains[0].power_cap_w, -1.0);  // inherit

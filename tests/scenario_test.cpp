@@ -12,13 +12,14 @@ using namespace heteroplace;
 
 TEST(ScenarioBuilders, Section3MatchesThePaper) {
   const auto s = scenario::section3_scenario();
-  EXPECT_EQ(s.cluster.nodes, 25);
-  EXPECT_DOUBLE_EQ(s.cluster.cpu_per_node_mhz, 12000.0);  // 4 × 3 GHz
+  EXPECT_EQ(s.domains[0].cluster.nodes, 25);
+  EXPECT_DOUBLE_EQ(s.domains[0].cluster.cpu_per_node_mhz, 12000.0);  // 4 × 3 GHz
   EXPECT_EQ(s.jobs.count, 800);
   EXPECT_DOUBLE_EQ(s.jobs.mean_interarrival_s, 260.0);
   EXPECT_DOUBLE_EQ(s.controller.cycle_s, 600.0);
   // Memory: exactly 3 job VMs fit per node (the paper's constraint).
-  const int slots = static_cast<int>(s.cluster.mem_per_node_mb / s.jobs.tmpl.memory.get());
+  const int slots =
+      static_cast<int>(s.domains[0].cluster.mem_per_node_mb / s.jobs.tmpl.memory.get());
   EXPECT_EQ(slots, 3);
   // One constant transactional workload.
   ASSERT_EQ(s.apps.size(), 1u);
@@ -30,11 +31,11 @@ TEST(ScenarioBuilders, Section3MatchesThePaper) {
 
 TEST(ScenarioBuilders, ScaledKeepsStructure) {
   const auto s = scenario::section3_scaled(0.2);
-  EXPECT_EQ(s.cluster.nodes, 5);
+  EXPECT_EQ(s.domains[0].cluster.nodes, 5);
   EXPECT_EQ(s.jobs.count, 160);
-  EXPECT_DOUBLE_EQ(s.cluster.cpu_per_node_mhz, 12000.0);
+  EXPECT_DOUBLE_EQ(s.domains[0].cluster.cpu_per_node_mhz, 12000.0);
   const auto full = scenario::section3_scaled(1.0);
-  EXPECT_EQ(full.cluster.nodes, 25);
+  EXPECT_EQ(full.domains[0].cluster.nodes, 25);
 }
 
 TEST(ScenarioBuilders, ServiceDifferentiationHasTwoClasses) {

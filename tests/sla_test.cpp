@@ -2,7 +2,7 @@
 // deterministic bucket quantiles, the SlaLedger's wake metering and tx
 // sample accounting, the AlertEngine's multiwindow burn-rate open/close,
 // the AuditLog ring and its JSON dump, slo.* / obs.audit* config parsing
-// in both loaders, and the tentpole contracts — every completed job's
+// in the config loader, and the tentpole contracts — every completed job's
 // attribution closes (asserted in-binary, re-checked here from the JSON),
 // the SLA report and audit dump are byte-identical across engine thread
 // counts, and a fully-instrumented run stays digest-identical to an
@@ -248,7 +248,7 @@ TEST(SlaConfig, SloAndAuditKeysParseIntoBothLoaders) {
   EXPECT_EQ(s.obs.audit_ring_capacity, 512);
   EXPECT_EQ(s.obs.audit_path, audit_path);
 
-  const auto fs = scenario::federated_scenario_from_config(
+  const auto fs = scenario::scenario_from_config(
       util::Config::from_string("domains = 2\n" + cfg_text));
   ASSERT_EQ(fs.slos.size(), 2u);
   EXPECT_EQ(fs.obs.audit, "ring");
@@ -284,11 +284,11 @@ namespace {
 
 /// Same shape as obs_test's everything-on scenario (every subsystem live,
 /// aligned phases so parallel batches really form), plus SLOs and audit.
-scenario::FederatedScenario everything_on_sla_scenario() {
+scenario::Scenario everything_on_sla_scenario() {
   auto base = scenario::section3_scaled(0.2);  // 5 nodes
   base.seed = 42;
   base.horizon_s = 30000.0;
-  scenario::FederatedScenario fs = scenario::federate(base, 3);
+  scenario::Scenario fs = scenario::federate(base, 3);
   for (auto& d : fs.domains) d.first_cycle_at_s = 0.0;
   fs.migration.enabled = true;
   fs.migration.policy = "drain+rebalance";
@@ -352,12 +352,21 @@ TEST(SlaConfig, FederateCarriesSlos) {
   auto s = scenario::section3_scaled(0.2);
   s.slos.push_back({"web", 0.9, 7200.0, 1200.0, 1.0});
   s.slos.push_back({"jobs", 0.5, 14400.0, 3600.0, 1.5});
-  EXPECT_EQ(scenario::federate(s, 3).slos, s.slos);
+  const scenario::Scenario three = scenario::federate(s, 3);
+  EXPECT_EQ(three.slos, s.slos);
   EXPECT_EQ(scenario::federate(s, 1).slos, s.slos);
+  // federate() splits exactly one domain: an already-sharded scenario
+  // (or one with no domains) is rejected, not re-split.
+  EXPECT_THROW((void)scenario::federate(three, 2), std::invalid_argument);
+  EXPECT_THROW((void)scenario::federate(three, 1), std::invalid_argument);
+  scenario::Scenario empty = s;
+  empty.domains.clear();
+  EXPECT_THROW((void)scenario::federate(empty, 1), std::invalid_argument);
 }
 
-// run_experiment goes through federate(s, 1): the scenario's SLOs must
-// survive it and reach the report's alert section.
+// run_experiment runs its one-domain scenario through
+// run_federated_experiment: the scenario's SLOs must reach the report's
+// alert section.
 TEST(SlaReport, SingleWorldReportCarriesSloAlerts) {
   auto s = scenario::section3_scaled(0.15);
   s.seed = 7;
