@@ -1,8 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the simulation substrate:
-// event-engine throughput and the request-level M/M/1 simulator.
+// event-engine throughput (serial and parallel batches) and the
+// request-level M/M/1 simulator.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "perfmodel/request_sim.hpp"
@@ -101,6 +104,42 @@ void BM_EngineCancellationHeavy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EngineCancellationHeavy)->Arg(16384)->Arg(65536);
+
+void BM_EngineShardedBatch(benchmark::State& state) {
+  // The federation's aligned-domain shape: every round, one batch of
+  // `shards` distinct-shard items runs on the worker pool, and each item
+  // stages `pushes` events — its own re-arm plus pushes-1 sharded no-ops
+  // half a round later, which form a second batch of empty items. This
+  // isolates the parallel engine's per-item cost (staged slot handout,
+  // replay at the barrier) from any controller work.
+  const auto shards = static_cast<sim::ShardId>(state.range(0));
+  const int pushes = static_cast<int>(state.range(1));
+  const auto threads = static_cast<unsigned>(state.range(2));
+  constexpr double kRounds = 200.0;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    sim::Engine engine;
+    engine.set_threads(threads);
+    std::vector<std::function<void()>> loops(shards);
+    for (sim::ShardId s = 0; s < shards; ++s) {
+      loops[s] = [&engine, &loops, s, pushes] {
+        for (int k = 1; k < pushes; ++k) {
+          engine.schedule_in(util::Seconds{0.5}, sim::EventPriority::kStateTransition, s, [] {});
+        }
+        engine.schedule_in(util::Seconds{1.0}, sim::EventPriority::kController, s, loops[s]);
+      };
+      engine.schedule_at(util::Seconds{0.0}, sim::EventPriority::kController, s, loops[s]);
+    }
+    engine.run_until(util::Seconds{kRounds});
+    events += engine.events_executed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EngineShardedBatch)
+    ->ArgNames({"shards", "pushes", "threads"})
+    ->ArgsProduct({{24, 100}, {1, 8}, {1, 2, 4}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RequestLevelMm1(benchmark::State& state) {
   perfmodel::RequestSimConfig cfg;

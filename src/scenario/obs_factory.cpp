@@ -189,6 +189,8 @@ void append_engine_profile(obs::ProfileReport& report, const sim::EngineTiming& 
   }
   if (parallel_batches > 0) {
     report.push_back({"engine/batch_exec", parallel_batches, timing.batch_exec_ns});
+    report.push_back({"engine/batch_items", parallel_batches, timing.batch_items_ns});
+    report.push_back({"engine/batch_critical", parallel_batches, timing.batch_critical_ns});
     report.push_back({"engine/merge_barrier", parallel_batches, timing.merge_barrier_ns});
   }
 }

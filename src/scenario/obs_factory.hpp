@@ -72,7 +72,8 @@ struct Observability {
 void export_observability(const ObsSpec& spec, Observability& o);
 
 /// Fold sim::EngineTiming into a profile report as engine/* rows
-/// (serial spine by priority class, batch execution, merge barrier).
+/// (serial spine by priority class, batch execution, summed group time
+/// and per-batch critical path, merge barrier).
 void append_engine_profile(obs::ProfileReport& report, const sim::EngineTiming& timing,
                            std::uint64_t parallel_batches);
 

@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <limits>
@@ -159,10 +160,13 @@ bool Engine::parallel_step(double bound) {
     observer_->on_batch_begin(key.time, key.priority_bits, n, n_groups_);
   }
   queue_.begin_parallel(key.time, key.priority_bits);
+  if (timing_enabled_) group_ns_.assign(n_groups_, 0);
   const auto batch_t0 = timing_enabled_ ? std::chrono::steady_clock::now()
                                         : std::chrono::steady_clock::time_point{};
   try {
     pool_->run(n_groups_, [this, time = key.time](std::size_t g) {
+      const auto group_t0 = timing_enabled_ ? std::chrono::steady_clock::now()
+                                            : std::chrono::steady_clock::time_point{};
       for (const std::size_t item : groups_[g]) {
         queue_.bind_staging(item);
         util::set_log_context(time, batch_shards_[item]);
@@ -179,12 +183,21 @@ bool Engine::parallel_step(double bound) {
         util::clear_log_context();
         queue_.unbind_staging();
       }
+      if (timing_enabled_) group_ns_[g] = elapsed_ns(group_t0);
     });
   } catch (...) {
     queue_.cancel_parallel();
     throw;
   }
-  if (timing_enabled_) timing_.batch_exec_ns += elapsed_ns(batch_t0);
+  if (timing_enabled_) {
+    timing_.batch_exec_ns += elapsed_ns(batch_t0);
+    std::uint64_t critical = 0;
+    for (const std::uint64_t ns : group_ns_) {
+      timing_.batch_items_ns += ns;
+      critical = std::max(critical, ns);
+    }
+    timing_.batch_critical_ns += critical;
+  }
   const auto barrier_t0 = timing_enabled_ ? std::chrono::steady_clock::now()
                                           : std::chrono::steady_clock::time_point{};
   queue_.end_parallel();

@@ -45,6 +45,14 @@ struct EngineTiming {
   std::array<std::uint64_t, 8> serial_class_ns{};
   /// Wall time inside pool_->run() for parallel batches.
   std::uint64_t batch_exec_ns{0};
+  /// Summed wall time of the batch groups (a group is one shard's items,
+  /// run back to back on one thread): the work the batches held.
+  std::uint64_t batch_items_ns{0};
+  /// Sum over batches of the slowest group's time: the critical path no
+  /// thread count can beat. With T threads batch_exec_ns is at best
+  /// max(batch_critical_ns, batch_items_ns / T); the rest is imbalance
+  /// within batches and pool overhead.
+  std::uint64_t batch_critical_ns{0};
   /// Wall time inside the deterministic merge barrier (staged replay).
   std::uint64_t merge_barrier_ns{0};
 };
@@ -146,6 +154,7 @@ class Engine {
   std::vector<EventCallback> batch_cbs_;
   std::vector<ShardId> batch_shards_;
   std::vector<std::vector<std::size_t>> groups_;  // item indices, pop order
+  std::vector<std::uint64_t> group_ns_;             // per-group wall time (timing on)
   std::size_t n_groups_{0};
   std::unordered_map<ShardId, std::size_t> group_of_;
 };

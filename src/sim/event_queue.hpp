@@ -12,9 +12,9 @@
 // Layout, chosen against bench/perf_baseline.cpp (the seed shared_ptr
 // implementation survives in bench/legacy/ as the comparison point):
 //
-//  - Records live in a slab-allocated pool indexed by slot number; a
-//    freelist recycles slots, so push/pop/cancel perform zero heap
-//    allocations after warm-up.
+//  - Records live in a slab-allocated pool indexed by slot number; free
+//    slots sit on an index stack (LIFO), so push/pop/cancel perform zero
+//    heap allocations after warm-up.
 //  - The heap is 4-ary and its entries carry the full ordering key
 //    (time + packed priority|seq), so sift comparisons touch only the
 //    contiguous heap array — never the slab, never a pointer chase.
@@ -41,11 +41,13 @@
 // (pop_batch) and executed by a worker pool. During the batch
 // (begin_parallel .. end_parallel):
 //  - push from a worker is *staged*: the record is acquired immediately
-//    (from a per-worker slot cache, so the global mutex is touched once
-//    per kSlotCacheRefill pushes) and a valid handle returned, but the
-//    sequence number and heap insertion are deferred to end_parallel,
-//    which replays staged pushes in batch pop order — reproducing the
-//    exact sequence numbers a serial run would have assigned.
+//    and a valid handle returned. begin_parallel pre-sizes the free-slot
+//    stack and opens an atomic cursor into it, so a worker takes a slot
+//    with one relaxed CAS (no lock, no per-item cache); end_parallel
+//    truncates the stack at the cursor. The sequence number and heap
+//    insertion are deferred to end_parallel, which replays staged pushes
+//    in batch pop order — reproducing the exact sequence numbers a serial
+//    run would have assigned.
 //  - cancel/pending from a worker lock the queue mutex (mt_guard_ makes
 //    this zero-cost when no batch is running: one relaxed atomic load).
 //  - operations that cannot be made bit-identical to the serial
@@ -189,8 +191,9 @@ class EventQueue {
   std::size_t pop_batch(std::vector<EventCallback>& callbacks, std::vector<ShardId>& shards);
 
   /// Enter the parallel region for the batch just popped (size >= 2):
-  /// arms the mutex guard, sizes the per-item staging buffers, and
-  /// pre-grows the slot slab so workers never reallocate it.
+  /// arms the mutex guard, sizes the per-item staging buffers, pre-grows
+  /// the slot slab so workers never reallocate it, and opens the
+  /// free-slot cursor.
   void begin_parallel(double batch_time, std::uint16_t batch_priority_bits);
 
   /// Bind/unbind this thread's staged-push context to batch item `item`
@@ -211,12 +214,9 @@ class EventQueue {
  private:
   friend class EventHandle;
 
-  static constexpr std::uint32_t kNil = 0xffffffffu;
   /// 48-bit sequence numbers leave 16 bits for the priority in the
   /// packed ordering word; ~2.8e14 events outlast any simulation.
   static constexpr std::uint64_t kSeqMask = (std::uint64_t{1} << 48) - 1;
-  /// Slots handed to a worker's staged-push cache per mutex acquisition.
-  static constexpr std::size_t kSlotCacheRefill = 64;
 
   struct Slot {
     EventCallback callback;
@@ -226,7 +226,6 @@ class EventQueue {
     /// acquiring the (recycled) slot — the only two fields such a probe
     /// may touch are this and, when it matches, `cancelled`.
     std::atomic<std::uint32_t> gen_state{0};
-    std::uint32_t next_free{kNil};  // freelist link; kNil while in use
     ShardId shard{kNoShard};
     bool cancelled{false};
     /// Acquired by a worker inside a parallel region; seq/heap insertion
@@ -243,7 +242,6 @@ class EventQueue {
     Slot(Slot&& o) noexcept
         : callback(std::move(o.callback)),
           gen_state(o.gen_state.load(std::memory_order_relaxed)),
-          next_free(o.next_free),
           shard(o.shard),
           cancelled(o.cancelled),
           staged(o.staged),
@@ -251,7 +249,6 @@ class EventQueue {
     Slot& operator=(Slot&& o) noexcept {
       callback = std::move(o.callback);
       gen_state.store(o.gen_state.load(std::memory_order_relaxed), std::memory_order_relaxed);
-      next_free = o.next_free;
       shard = o.shard;
       cancelled = o.cancelled;
       staged = o.staged;
@@ -279,16 +276,9 @@ class EventQueue {
     std::uint32_t slot;
   };
 
-  /// Per-batch-item staging state. Exactly one worker runs a given item,
-  /// so no lock guards it; the slot cache amortizes freelist access.
-  struct ItemStaging {
-    std::vector<StagedPush> pushes;
-    std::vector<std::uint32_t> slot_cache;
-  };
-
   struct TlsStaging {
     EventQueue* queue{nullptr};
-    ItemStaging* item{nullptr};
+    std::vector<StagedPush>* pushes{nullptr};  // the bound item's staging_ entry
     double batch_time{0.0};
     std::uint16_t batch_priority_bits{0};
   };
@@ -296,7 +286,6 @@ class EventQueue {
 
   [[nodiscard]] std::uint32_t acquire_slot();
   void release_slot(std::uint32_t idx) const;
-  void free_list_push(std::uint32_t idx) const;
   void sift_up(std::size_t pos) const;
   void sift_down(std::size_t pos) const;
   void heap_remove_top() const;
@@ -304,7 +293,6 @@ class EventQueue {
   void drop_dead() const;
 
   EventHandle staged_push(double time, EventPriority priority, EventCallback cb, ShardId shard);
-  void refill_slot_cache(std::vector<std::uint32_t>& cache);
   void heap_insert(double time, std::uint16_t priority_bits, std::uint64_t seq,
                    std::uint32_t slot);
   void release_staging(bool replay);
@@ -319,8 +307,8 @@ class EventQueue {
   // priority_queue implementation).
   mutable std::vector<Slot> slots_;
   mutable std::vector<HeapEntry> heap_;
-  mutable std::uint32_t free_head_{kNil};
-  mutable std::size_t free_count_{0};
+  /// Free slot indices; the back is reused first.
+  mutable std::vector<std::uint32_t> free_;
   /// Cancelled-but-unswept records. While zero (the common case between
   /// reschedule bursts) the lazy-deletion sweep skips its per-call slab
   /// probe entirely.
@@ -337,7 +325,12 @@ class EventQueue {
   std::atomic<bool> mt_guard_{false};
   mutable std::mutex mu_;
   std::vector<std::uint32_t> batch_slots_;
-  std::vector<ItemStaging> staging_;
+  /// Inside a batch: free_[0, free_cursor_) are still free; staged pushes
+  /// take free_[--free_cursor_]. Never decremented below zero.
+  std::atomic<std::size_t> free_cursor_{0};
+  /// Staged pushes per batch item, in push order. Exactly one worker runs
+  /// a given item, so no lock guards its entry.
+  std::vector<std::vector<StagedPush>> staging_;
   double batch_time_{0.0};
   std::uint16_t batch_priority_bits_{0};
   /// Largest staged-push count seen in one batch; begin_parallel sizes

@@ -374,6 +374,8 @@ TEST(Profiler, FederatedRunAccumulatesAllPhasesAndEngineRows) {
   // The runner appends engine/* rows from sim::EngineTiming.
   EXPECT_GT(calls_of("engine/serial_spine"), 0u);
   EXPECT_GT(calls_of("engine/batch_exec"), 0u);
+  EXPECT_EQ(calls_of("engine/batch_items"), calls_of("engine/batch_exec"));
+  EXPECT_EQ(calls_of("engine/batch_critical"), calls_of("engine/batch_exec"));
 }
 
 TEST(ObsInvariance, SingleWorldObsOnIsDigestIdentical) {

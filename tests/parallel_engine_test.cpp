@@ -3,7 +3,9 @@
 // push replay, the fail-loud guards (past/lower-priority staged pushes,
 // handle ops on an executing batch slot), the cross-thread handle
 // liveness registry (handles created on one thread, probed/cancelled
-// from another, and handles outliving their queue), a determinism
+// from another, and handles outliving their queue), the lock-free slot
+// handout under a >64-push-per-item spike with in-batch cancels and
+// under an exhausted spare, the batch imbalance timing, a determinism
 // stress comparing threads ∈ {2, 4, 8} against the serial reference,
 // and the end-to-end bit-identity pins: single-world and federated runs
 // with migration + power + faults + weight events must produce digest-
@@ -25,6 +27,7 @@
 #include "scenario/federation_experiment.hpp"
 #include "scenario/result_digest.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/worker_pool.hpp"
 #include "util/config.hpp"
 
 using namespace heteroplace;
@@ -271,6 +274,185 @@ TEST(ParallelEngine, QueueIdsNeverRecycleLiveness) {
   (void)fresh.push(1.0, kCtrl, [] {});
   EXPECT_FALSE(stale.pending());
   EXPECT_FALSE(stale.cancel());
+}
+
+// --- lock-free slot handout under load --------------------------------------
+
+namespace {
+
+constexpr int kSpikeItems = 24;
+constexpr int kSpikePushes = 80;  // > 64: more than one old per-item slot-cache refill
+constexpr int kSpikePre = 4;
+constexpr int kSpikeLater = 1000;
+
+struct SpikeTrace {
+  std::vector<std::vector<int>> item_results;  // per shard: cancel/pending answers
+  std::vector<int> pops;                       // event ids in drain order
+  std::vector<std::size_t> live;               // live_size() after the batch, then per pop
+  std::vector<std::uint64_t> scheduled;        // total_scheduled(), same points
+};
+
+/// One (t=10, kController) batch of kSpikeItems distinct-shard items
+/// over a queue holding kSpikePre later events per shard. Item s stages
+/// kSpikePushes pushes at mixed times/priorities, cancels every fifth of
+/// them, and cancels (twice) and probes events of its shard pushed
+/// before the batch. threads == 1 pops the batch serially; otherwise the
+/// queue's batch protocol runs it on a pool of `threads`. kSpikeLater
+/// serial pushes follow, then the queue is drained, recording every pop.
+SpikeTrace run_sharded_spike(unsigned threads) {
+  sim::EventQueue q;
+  SpikeTrace trace;
+  trace.item_results.resize(kSpikeItems);
+  std::vector<std::vector<sim::EventHandle>> pre(kSpikeItems);
+  for (int s = 0; s < kSpikeItems; ++s) {
+    for (int j = 0; j < kSpikePre; ++j) {
+      const int id = 1000 * s + 900 + j;
+      pre[static_cast<std::size_t>(s)].push_back(
+          q.push(12.0 + j, kState, [&trace, id] { trace.pops.push_back(id); },
+                 static_cast<sim::ShardId>(s)));
+    }
+  }
+  std::vector<sim::EventCallback> items;
+  for (int s = 0; s < kSpikeItems; ++s) {
+    items.push_back([&q, &trace, &pre, s] {
+      const auto shard = static_cast<sim::ShardId>(s);
+      std::vector<int>& results = trace.item_results[static_cast<std::size_t>(s)];
+      std::vector<sim::EventHandle> own;
+      for (int k = 0; k < kSpikePushes; ++k) {
+        const int id = 1000 * s + k;
+        const double t = 10.0 + (k % 7) * 0.5;
+        // At the batch time only priorities >= the batch's are legal.
+        const auto prio = k % 7 == 0 ? kCtrl : (k % 3 == 0 ? kState : kPower);
+        own.push_back(q.push(t, prio, [&trace, id] { trace.pops.push_back(id); }, shard));
+      }
+      for (int k = 0; k < kSpikePushes; k += 5) {
+        results.push_back(own[static_cast<std::size_t>(k)].cancel() ? 1 : 0);
+      }
+      std::vector<sim::EventHandle>& mine = pre[static_cast<std::size_t>(s)];
+      results.push_back(mine[0].cancel() ? 1 : 0);
+      results.push_back(mine[0].cancel() ? 1 : 0);  // already cancelled
+      results.push_back(mine[2].cancel() ? 1 : 0);
+      results.push_back(mine[1].pending() ? 1 : 0);
+      results.push_back(own[1].pending() ? 1 : 0);
+      results.push_back(own[5].pending() ? 1 : 0);
+    });
+    q.push(10.0, kCtrl, items.back(), static_cast<sim::ShardId>(s));
+  }
+
+  if (threads == 1) {
+    for (int i = 0; i < kSpikeItems; ++i) q.pop().callback();
+  } else {
+    std::vector<sim::EventCallback> cbs;
+    std::vector<sim::ShardId> shards;
+    const sim::EventQueue::TopKey key = q.top_key();
+    EXPECT_EQ(q.pop_batch(cbs, shards), static_cast<std::size_t>(kSpikeItems));
+    q.begin_parallel(key.time, key.priority_bits);
+    sim::WorkerPool pool(threads);
+    pool.run(cbs.size(), [&](std::size_t i) {
+      q.bind_staging(i);
+      cbs[i]();
+      q.unbind_staging();
+    });
+    q.end_parallel();
+  }
+  // More serial pushes than the batch released: these reuse slots the
+  // staged pushes left on the free stack, so a slot handed out twice
+  // would overwrite a live staged event.
+  for (int k = 0; k < kSpikeLater; ++k) {
+    const int id = 100000 + k;
+    q.push(50.0 + k % 3, kPower, [&trace, id] { trace.pops.push_back(id); });
+  }
+  trace.live.push_back(q.live_size());
+  trace.scheduled.push_back(q.total_scheduled());
+  while (!q.empty()) {
+    q.pop().callback();
+    trace.live.push_back(q.live_size());
+    trace.scheduled.push_back(q.total_scheduled());
+  }
+  return trace;
+}
+
+}  // namespace
+
+TEST(ParallelEngine, ShardedSpikeWithCancelsMatchesSerial) {
+  const SpikeTrace ref = run_sharded_spike(1);
+  // Non-vacuous: every staged push and pre-batch event not cancelled
+  // drains, and cancelled staged pushes still consumed a sequence number.
+  const int cancelled_staged = (kSpikePushes + 4) / 5;
+  const std::size_t drained =
+      static_cast<std::size_t>(kSpikeItems) * (kSpikePushes - cancelled_staged + kSpikePre - 2) +
+      kSpikeLater;
+  ASSERT_EQ(ref.pops.size(), drained);
+  EXPECT_EQ(ref.live.front(), drained);
+  EXPECT_EQ(ref.scheduled.back(),
+            static_cast<std::uint64_t>(kSpikeItems) * (kSpikePre + 1 + kSpikePushes) +
+                kSpikeLater);
+  for (const std::vector<int>& r : ref.item_results) {
+    EXPECT_EQ(r.size(), static_cast<std::size_t>(cancelled_staged + 6));
+    EXPECT_EQ(r.back(), 0);  // own[5] was cancelled
+  }
+
+  const SpikeTrace par = run_sharded_spike(4);
+  EXPECT_EQ(par.item_results, ref.item_results);
+  EXPECT_EQ(par.pops, ref.pops);
+  EXPECT_EQ(par.live, ref.live);
+  EXPECT_EQ(par.scheduled, ref.scheduled);
+}
+
+TEST(ParallelEngine, StagedPushSpikeBeyondSpareThrowsAndQueueRecovers) {
+  // Workers may not grow the slot slab, so staged pushes beyond the
+  // spare begin_parallel pre-sized (8192 slots on a fresh queue) must
+  // fail loudly — and the aborted batch must leave a usable queue.
+  sim::Engine engine;
+  engine.set_threads(4);
+  std::atomic<int> later{0};
+  for (sim::ShardId s = 0; s < 4; ++s) {
+    engine.schedule_at(util::Seconds{100.0}, kState, s, [&] { later.fetch_add(1); });
+  }
+  for (sim::ShardId s = 0; s < 2; ++s) {
+    engine.schedule_at(util::Seconds{10.0}, kCtrl, s, [&engine, s] {
+      for (int k = 0; k < 6000; ++k) engine.schedule_at(util::Seconds{20.0}, kState, s, [] {});
+    });
+  }
+  try {
+    engine.run();
+    FAIL() << "expected std::logic_error from an exhausted slot spare";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("slot slab exhausted"), std::string::npos) << e.what();
+  }
+  // The batch's staged pushes were dropped; the pre-batch events remain.
+  EXPECT_EQ(engine.events_pending(), 4u);
+  for (sim::ShardId s = 0; s < 4; ++s) {
+    engine.schedule_at(util::Seconds{50.0}, kCtrl, s, [&] { later.fetch_add(1); });
+  }
+  engine.run();
+  EXPECT_EQ(later.load(), 8);
+  EXPECT_EQ(engine.events_pending(), 0u);
+  EXPECT_GE(engine.parallel_batches(), 3u);
+}
+
+TEST(ParallelEngine, BatchTimingSplitsItemsFromCriticalPath) {
+  // Four shards, one of them doing ~10x the work of the others: the
+  // summed group time exceeds the critical path, which in turn fits
+  // inside the batch's wall time.
+  sim::Engine engine;
+  engine.set_threads(4);
+  engine.enable_timing();
+  std::vector<double> sink(4, 0.0);
+  for (sim::ShardId s = 0; s < 4; ++s) {
+    engine.schedule_at(util::Seconds{1.0}, kCtrl, s, [&sink, s] {
+      const int n = s == 0 ? 200000 : 20000;
+      double acc = 0.0;
+      for (int i = 1; i <= n; ++i) acc += 1.0 / i;
+      sink[s] = acc;
+    });
+  }
+  engine.run();
+  const sim::EngineTiming& t = engine.timing();
+  ASSERT_EQ(engine.parallel_batches(), 1u);
+  EXPECT_GT(t.batch_critical_ns, 0u);
+  EXPECT_GT(t.batch_items_ns, t.batch_critical_ns);
+  EXPECT_LE(t.batch_critical_ns, t.batch_exec_ns);
 }
 
 // --- end-to-end bit-identity pins -------------------------------------------
