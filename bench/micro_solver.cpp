@@ -16,6 +16,7 @@
 #include "solver_shapes.hpp"
 #include "util/rng.hpp"
 #include "utility/job_utility.hpp"
+#include "virtual_only_consumer.hpp"
 #include "utility/tx_utility.hpp"
 #include "workload/job.hpp"
 #include "workload/transactional.hpp"
@@ -76,8 +77,8 @@ void BM_EqualizeJobs(benchmark::State& state) {
 BENCHMARK(BM_EqualizeJobs)->RangeMultiplier(4)->Range(16, 4096)->Complexity();
 
 void BM_EqualizeJobsVirtualPath(benchmark::State& state) {
-  // The seed equalizer loop (per-consumer virtual dispatch, no curve
-  // cache), for the BENCH_equalizer.json trajectory.
+  // The same population through per-consumer virtual dispatch (no curve
+  // cache), the seed column of the BENCH_equalizer.json trajectory.
   const int n = static_cast<int>(state.range(0));
   util::Rng rng(7);
   const auto jobs = make_jobs(n, rng);
@@ -93,12 +94,12 @@ void BM_EqualizeJobsVirtualPath(benchmark::State& state) {
   std::vector<const core::UtilityConsumer*> consumers;
   for (const auto& c : jc) consumers.push_back(&c);
   consumers.push_back(&tc);
+  std::vector<bench::VirtualOnlyConsumer> wrappers;
+  const auto seed_consumers = bench::virtual_only(consumers, wrappers);
 
-  core::EqualizerOptions opts;
-  opts.use_curve_cache = false;
   const util::CpuMhz capacity{300000.0};
   for (auto _ : state) {
-    auto result = core::equalize(consumers, capacity, opts);
+    auto result = core::equalize(seed_consumers, capacity);
     benchmark::DoNotOptimize(result.u_star);
   }
   state.SetComplexityN(n);

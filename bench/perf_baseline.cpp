@@ -2,11 +2,12 @@
 //
 // Measures each optimized hot path against the seed implementation it
 // replaced — the shared_ptr event queue and the seed placement solver
-// are preserved verbatim under bench/legacy/, and the seed equalizer
-// loop survives behind EqualizerOptions::use_curve_cache=false — and
-// emits machine-readable BENCH_eventqueue.json / BENCH_equalizer.json /
-// BENCH_solver.json. The committed copies at the repo root are the perf
-// trajectory: future PRs rerun this tool and compare.
+// are preserved verbatim under bench/legacy/, and the equalizer's
+// virtual-dispatch loop is recovered by wrapping every consumer in
+// bench::VirtualOnlyConsumer — and emits machine-readable
+// BENCH_eventqueue.json / BENCH_equalizer.json / BENCH_solver.json. The
+// committed copies at the repo root are the perf trajectory: future
+// changes rerun this tool and compare.
 //
 //   perf_baseline [--out=DIR] [--quick]
 //
@@ -14,10 +15,10 @@
 // still valid; the numbers are just noisier). Timings take the minimum
 // of `reps` runs, which is robust to scheduler noise on shared runners.
 //
-// The solver section also re-verifies plan equivalence (seed vs.
-// optimized) on every shape it times and fails loudly on divergence, so
-// the perf numbers can never silently come from a solver that changed
-// behavior.
+// The equalizer and solver sections also re-verify result equivalence
+// (seed vs. optimized) on every shape they time and fail loudly on
+// divergence, so the perf numbers can never silently come from code that
+// changed behavior.
 
 #include <chrono>
 #include <cmath>
@@ -39,6 +40,7 @@
 #include "sim/event_queue.hpp"
 #include "solver_shapes.hpp"
 #include "util/rng.hpp"
+#include "virtual_only_consumer.hpp"
 #include "utility/job_utility.hpp"
 #include "utility/tx_utility.hpp"
 #include "workload/job.hpp"
@@ -65,6 +67,8 @@ double time_best_ns(int reps, const std::function<void()>& fn) {
   return best;
 }
 
+constexpr const char* kLegacySeed = "bench/legacy (pre-overhaul implementation)";
+
 struct Case {
   std::string name;
   double ops;  // per run, for ns/op normalization
@@ -72,14 +76,14 @@ struct Case {
   double optimized_ns;
 };
 
-void write_json(const std::string& path, const std::string& component, bool quick,
-                const std::vector<Case>& cases) {
+void write_json(const std::string& path, const std::string& component,
+                const std::string& seed_impl, bool quick, const std::vector<Case>& cases) {
   std::ofstream out(path);
   out << "{\n"
       << "  \"schema\": \"heteroplace-perf-baseline/v1\",\n"
       << "  \"component\": \"" << component << "\",\n"
       << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n"
-      << "  \"seed_impl\": \"bench/legacy (pre-overhaul implementation)\",\n"
+      << "  \"seed_impl\": \"" << seed_impl << "\",\n"
       << "  \"cases\": [\n";
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const Case& c = cases[i];
@@ -177,9 +181,22 @@ std::vector<Case> bench_eventqueue(bool quick) {
 
 // ---- equalizer --------------------------------------------------------------
 
-std::vector<Case> bench_equalizer(bool quick) {
+/// Bitwise equality of two equalize() results: u*, iteration count and
+/// every allocation and utility.
+bool equalize_equal(const core::EqualizeResult& a, const core::EqualizeResult& b) {
+  if (a.u_star != b.u_star || a.iterations != b.iterations) return false;
+  if (a.allocations.size() != b.allocations.size()) return false;
+  for (std::size_t i = 0; i < a.allocations.size(); ++i) {
+    if (a.allocations[i].alloc.get() != b.allocations[i].alloc.get()) return false;
+    if (a.allocations[i].utility != b.allocations[i].utility) return false;
+  }
+  return true;
+}
+
+std::vector<Case> bench_equalizer(bool quick, bool& results_ok) {
   const int reps = quick ? 3 : 5;
   std::vector<Case> cases;
+  results_ok = true;
   const auto shapes = quick ? std::vector<int>{256} : std::vector<int>{256, 1024, 4096};
 
   for (const int n_jobs : shapes) {
@@ -220,16 +237,20 @@ std::vector<Case> bench_equalizer(bool quick) {
     // ~30% of total demand: firmly in the contended regime.
     const util::CpuMhz capacity{n_jobs * 550.0};
 
-    core::EqualizerOptions slow;
-    slow.use_curve_cache = false;
-    core::EqualizerOptions fast;
-    fast.use_curve_cache = true;
+    std::vector<bench::VirtualOnlyConsumer> wrappers;
+    const auto seed_consumers = bench::virtual_only(consumers, wrappers);
+    if (!equalize_equal(core::equalize(seed_consumers, capacity),
+                        core::equalize(consumers, capacity))) {
+      std::cerr << "FATAL: optimized equalizer diverges from the virtual-dispatch path at "
+                << n_jobs << "j\n";
+      results_ok = false;
+    }
     const auto seed_ns = time_best_ns(reps, [&] {
-      const auto r = core::equalize(consumers, capacity, slow);
+      const auto r = core::equalize(seed_consumers, capacity);
       g_sink = g_sink + r.iterations;
     });
     const auto opt_ns = time_best_ns(reps, [&] {
-      const auto r = core::equalize(consumers, capacity, fast);
+      const auto r = core::equalize(consumers, capacity);
       g_sink = g_sink + r.iterations;
     });
     cases.push_back({"equalize_" + std::to_string(n_jobs) + "j_4a",
@@ -309,19 +330,21 @@ int main(int argc, char** argv) {
   std::cout << "== event queue (seed = bench/legacy shared_ptr queue) ==\n";
   const auto eq_cases = bench_eventqueue(quick);
   for (const auto& c : eq_cases) print_case(c);
-  write_json(out_dir + "/BENCH_eventqueue.json", "eventqueue", quick, eq_cases);
+  write_json(out_dir + "/BENCH_eventqueue.json", "eventqueue", kLegacySeed, quick, eq_cases);
 
   std::cout << "== equalizer (seed = virtual-dispatch loop) ==\n";
-  const auto eqz_cases = bench_equalizer(quick);
+  bool equalize_ok = false;
+  const auto eqz_cases = bench_equalizer(quick, equalize_ok);
   for (const auto& c : eqz_cases) print_case(c);
-  write_json(out_dir + "/BENCH_equalizer.json", "equalizer", quick, eqz_cases);
+  write_json(out_dir + "/BENCH_equalizer.json", "equalizer",
+             "bench/virtual_only_consumer.hpp (per-consumer virtual dispatch)", quick, eqz_cases);
 
   std::cout << "== placement solver (seed = bench/legacy solver) ==\n";
   bool plans_ok = false;
   const auto sol_cases = bench_solver(quick, plans_ok);
   for (const auto& c : sol_cases) print_case(c);
-  write_json(out_dir + "/BENCH_solver.json", "solver", quick, sol_cases);
+  write_json(out_dir + "/BENCH_solver.json", "solver", kLegacySeed, quick, sol_cases);
 
-  if (!plans_ok) return 1;
+  if (!equalize_ok || !plans_ok) return 1;
   return 0;
 }

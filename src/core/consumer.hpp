@@ -26,24 +26,24 @@ enum class ConsumerKind { kJob, kTxApp };
 ///
 /// The equalizer evaluates Σ alloc_for_utility(u) dozens of times per
 /// control cycle over thousands of consumers; going through the virtual
-/// interface each time (and, for transactional apps, re-running an inner
-/// bisection through std::function) dominates the cycle cost. A consumer
-/// that can describe its inverse curve in closed parameters exports them
-/// here once per equalize() call, and the equalizer evaluates the curve
-/// from flat arrays. `kGeneric` consumers simply keep the virtual path.
+/// interface each time dominates the cycle cost. A consumer that can
+/// describe its inverse curve in closed parameters exports them here once
+/// per equalize() call, and the equalizer evaluates the curve from flat
+/// arrays with the same utility:: functions the models use. `kGeneric`
+/// consumers simply keep the virtual path.
 struct CurveParams {
   enum class Form {
     kGeneric,     // no closed form: call alloc_for_utility(u) virtually
     kZero,        // alloc_for_utility(u) == 0 for all u (finished / idle)
-    kJobInverse,  // job curve: see JobUtilityModel::speed_for_utility
-    kTxQueueing,  // transactional curve: see TxUtilityModel::alloc_for_utility
+    kJobInverse,  // job curve: see utility::speed_for_ratio
+    kTxQueueing,  // transactional curve: see utility::TxCurve
   };
   Form form{Form::kGeneric};
 
-  // kJobInverse — alloc(u) = clamp(remaining / (submit + fn⁻¹(u·w)·goal − now),
-  //                                0, max_speed), max_speed if the horizon
-  // has passed. Consumers sharing (fn, importance) also share fn⁻¹(u·w),
-  // which the equalizer therefore solves once per group per iteration.
+  // kJobInverse — alloc(u) = speed_for_ratio(fn⁻¹(u·w), submit, goal, now,
+  // remaining, max_speed). Consumers sharing (fn, importance) also share
+  // fn⁻¹(u·w), which the equalizer therefore solves once per group per
+  // iteration.
   const utility::UtilityFunction* fn{nullptr};
   double importance{1.0};
   double remaining{0.0};
@@ -52,16 +52,8 @@ struct CurveParams {
   double goal{0.0};
   double now{0.0};
 
-  // kTxQueueing — inverse of the M/G/1-PS + flow-control utility, solved
-  // by the same bisection as TxUtilityModel::alloc_for_utility but with
-  // the model composition inlined and the demand ceiling precomputed.
-  double lambda{0.0};
-  double service_demand{0.0};
-  double rt_goal{0.0};
-  double utility_cap{0.0};
-  double rho_cap{0.0};
-  double throughput_exponent{0.0};
-  double demand_hi{0.0};
+  // kTxQueueing — alloc(u) = tx.alloc_for_utility(u).
+  utility::TxCurve tx;
 };
 
 class UtilityConsumer {
@@ -91,8 +83,7 @@ class UtilityConsumer {
   /// the generic (virtual-dispatch) form. Per-consumer inverses must be
   /// identical either way — the params are a performance contract, not a
   /// policy — though the equalizer's totals may differ in the last ulp
-  /// because the cache sums by consumer kind rather than input order
-  /// (u* agrees within the bisection tolerance; see EqualizerOptions).
+  /// from an input-order sum, because it sums by consumer kind.
   [[nodiscard]] virtual CurveParams curve_params() const { return {}; }
 };
 
@@ -192,16 +183,8 @@ class TxConsumer final : public UtilityConsumer {
       p.form = CurveParams::Form::kZero;
       return p;
     }
-    const auto& spec = app_->spec();
     p.form = CurveParams::Form::kTxQueueing;
-    p.importance = spec.importance > 0.0 ? spec.importance : 1.0;
-    p.lambda = lambda_;
-    p.service_demand = spec.service_demand;
-    p.rt_goal = spec.rt_goal.get();
-    p.utility_cap = spec.utility_cap;
-    p.rho_cap = spec.max_utilization;
-    p.throughput_exponent = spec.throughput_exponent;
-    p.demand_hi = model_->demand_for_max_utility(spec, lambda_).get();
+    p.tx = model_->curve(app_->spec(), lambda_);
     return p;
   }
 

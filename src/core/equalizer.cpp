@@ -1,12 +1,10 @@
 #include "core/equalizer.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -14,66 +12,16 @@ namespace heteroplace::core {
 
 namespace {
 
-/// Σ alloc_for_utility(u) over all consumers via the virtual interface —
-/// the seed implementation, kept behind EqualizerOptions::use_curve_cache
-/// so the curve-cache path can be benchmarked and regression-tested
-/// against it.
-double total_alloc_at(const std::vector<const UtilityConsumer*>& consumers, double u) {
-  double total = 0.0;
-  for (const UtilityConsumer* c : consumers) total += c->alloc_for_utility(u).get();
-  return total;
-}
-
-/// Inline mirror of TxUtilityModel::utility (raw_utility ∘ evaluate_tx,
-/// divided by importance). Operation order matches the model code so the
-/// bisection below reproduces its results bit for bit.
-double tx_utility_at(const CurveParams& p, double alloc) {
-  double raw;
-  if (alloc <= 0.0) {
-    raw = -1e3;
-  } else if (p.service_demand <= 0.0) {
-    raw = -std::numeric_limits<double>::infinity();  // infinite response time
-  } else {
-    const double mu = alloc / p.service_demand;
-    const double admit_cap = p.rho_cap * mu;
-    const double admitted = std::min(p.lambda, admit_cap);
-    const double ratio = admitted / p.lambda;
-    const double rt = 1.0 / (mu - admitted);
-    double u = (p.rt_goal - rt) / p.rt_goal;
-    u = std::min(u, p.utility_cap);
-    if (u > 0.0 && ratio < 1.0) u *= std::pow(ratio, p.throughput_exponent);
-    raw = u;
-  }
-  return raw / p.importance;
-}
-
-/// Inline mirror of TxUtilityModel::alloc_for_utility: the same bisection
-/// as util::invert_increasing (same bounds, tolerance, and iteration
-/// cap), minus the std::function indirection and the per-call recompute
-/// of the demand ceiling.
-double tx_alloc_for_utility(const CurveParams& p, double u) {
-  const double max_u = p.utility_cap / p.importance;
-  if (u >= max_u) return p.demand_hi;
-  double lo = 0.0;
-  double hi = p.demand_hi;
-  const double x_tol = 1e-6 * std::max(1.0, hi);
-  if (tx_utility_at(p, lo) - u >= 0.0) return lo;
-  if (tx_utility_at(p, hi) - u <= 0.0) return hi;
-  for (int i = 0; i < 200; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (tx_utility_at(p, mid) - u <= 0.0) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-    if (hi - lo <= x_tol) break;
-  }
-  return std::clamp(0.5 * (lo + hi), 0.0, p.demand_hi);
-}
+// Bisection window and stopping rule for u*. The floor must be below any
+// utility a consumer can have under starvation (it is widened below if
+// not).
+constexpr double kUFloor = -1.0e4;
+constexpr double kUTolerance = 1.0e-5;
+constexpr int kMaxIterations = 120;
 
 /// Flattened curve parameters for one equalize() call: SoA job arrays
 /// (with fn⁻¹ shared across consumers that have the same utility function
-/// and importance), transactional params, and a virtual-dispatch fallback
+/// and importance), transactional curves, and a virtual-dispatch fallback
 /// for consumers that export no closed form.
 class CurveCache {
  public:
@@ -101,7 +49,7 @@ class CurveCache {
         }
         case CurveParams::Form::kTxQueueing:
           refs_.push_back({Kind::kTx, static_cast<std::uint32_t>(tx_.size())});
-          tx_.push_back(p);
+          tx_.push_back(p.tx);
           break;
         case CurveParams::Form::kGeneric:
           refs_.push_back({Kind::kGeneric, static_cast<std::uint32_t>(generic_.size())});
@@ -113,11 +61,11 @@ class CurveCache {
   }
 
   /// Σ alloc_for_utility(u) across all consumers.
-  [[nodiscard]] double total_alloc_at(double u) const {
+  [[nodiscard]] double total_at(double u) const {
     solve_groups(u);
     double total = 0.0;
     for (std::size_t i = 0; i < job_group_.size(); ++i) total += job_alloc(i);
-    for (const auto& p : tx_) total += tx_alloc_for_utility(p, u);
+    for (const auto& c : tx_) total += c.alloc_for_utility(u);
     for (const auto* c : generic_) total += c->alloc_for_utility(u).get();
     return total;
   }
@@ -132,7 +80,7 @@ class CurveCache {
         solve_groups(u);
         return job_alloc(r.idx);
       case Kind::kTx:
-        return tx_alloc_for_utility(tx_[r.idx], u);
+        return tx_[r.idx].alloc_for_utility(u);
       case Kind::kGeneric:
         break;
     }
@@ -160,21 +108,18 @@ class CurveCache {
     group_u_ = u;
   }
 
-  /// Mirror of JobUtilityModel::speed_for_utility with the fn inversion
-  /// hoisted into solve_groups().
+  /// JobUtilityModel::speed_for_utility with the fn inversion hoisted
+  /// into solve_groups().
   [[nodiscard]] double job_alloc(std::size_t j) const {
-    const double x = group_x_[job_group_[j]];
-    const double completion = job_submit_[j] + x * job_goal_[j];
-    const double horizon = completion - job_now_[j];
-    if (horizon <= 0.0) return job_max_speed_[j];
-    return std::clamp(job_remaining_[j] / horizon, 0.0, job_max_speed_[j]);
+    return utility::speed_for_ratio(group_x_[job_group_[j]], job_submit_[j], job_goal_[j],
+                                    job_now_[j], job_remaining_[j], job_max_speed_[j]);
   }
 
   std::vector<Ref> refs_;
   std::vector<Group> groups_;
   std::vector<std::uint32_t> job_group_;
   std::vector<double> job_submit_, job_goal_, job_now_, job_remaining_, job_max_speed_;
-  std::vector<CurveParams> tx_;
+  std::vector<utility::TxCurve> tx_;
   std::vector<const UtilityConsumer*> generic_;
   mutable std::vector<double> group_x_;
   mutable double group_u_{std::numeric_limits<double>::quiet_NaN()};
@@ -183,13 +128,13 @@ class CurveCache {
 }  // namespace
 
 EqualizeResult equalize(const std::vector<const UtilityConsumer*>& consumers,
-                        util::CpuMhz capacity, const EqualizerOptions& opts) {
+                        util::CpuMhz capacity) {
   EqualizeResult result;
   result.allocations.resize(consumers.size());
   if (consumers.empty()) return result;
 
   double total_demand = 0.0;
-  double u_hi = opts.u_floor;
+  double u_hi = kUFloor;
   double u_min_max = 1e300;
   for (const auto* c : consumers) {
     total_demand += c->demand_max().get();
@@ -214,25 +159,21 @@ EqualizeResult equalize(const std::vector<const UtilityConsumer*>& consumers,
 
   result.contended = true;
 
-  std::optional<CurveCache> cache;
-  if (opts.use_curve_cache) cache.emplace(consumers);
-  const auto total_at = [&](double u) {
-    return cache ? cache->total_alloc_at(u) : total_alloc_at(consumers, u);
-  };
+  const CurveCache cache(consumers);
 
   // Widen the floor if even the floor's allocations exceed capacity
   // (can happen with extreme importance weights).
-  double u_lo = opts.u_floor;
-  for (int widen = 0; widen < 16 && total_at(u_lo) > capacity.get(); ++widen) {
+  double u_lo = kUFloor;
+  for (int widen = 0; widen < 16 && cache.total_at(u_lo) > capacity.get(); ++widen) {
     u_lo *= 2.0;
   }
 
   int iters = 0;
 
   // Bisect g(u) = total_alloc(u) − capacity, monotone non-decreasing.
-  while (u_hi - u_lo > opts.u_tolerance && iters < opts.max_iterations) {
+  while (u_hi - u_lo > kUTolerance && iters < kMaxIterations) {
     const double mid = 0.5 * (u_lo + u_hi);
-    if (total_at(mid) <= capacity.get()) {
+    if (cache.total_at(mid) <= capacity.get()) {
       u_lo = mid;
     } else {
       u_hi = mid;
@@ -245,8 +186,7 @@ EqualizeResult equalize(const std::vector<const UtilityConsumer*>& consumers,
 
   double total = 0.0;
   for (std::size_t i = 0; i < consumers.size(); ++i) {
-    const util::CpuMhz a = cache ? util::CpuMhz{cache->alloc_at(i, result.u_star)}
-                                 : consumers[i]->alloc_for_utility(result.u_star);
+    const util::CpuMhz a{cache.alloc_at(i, result.u_star)};
     result.allocations[i] = {a, consumers[i]->utility_at(a)};
     total += a.get();
   }

@@ -136,7 +136,7 @@ PolicyOutput UtilityDrivenPolicy::decide(const World& world, util::Seconds now) 
   EqualizeResult eq;
   {
     const obs::ScopedTimer timer(obs_.profiler, obs::Phase::kPolicyEqualize);
-    eq = equalize(consumers, capacity, eq_options_);
+    eq = equalize(consumers, capacity);
   }
   if (tr != nullptr) {
     tr->end(obs_.pid, obs::Lane::kController, "equalize", t,

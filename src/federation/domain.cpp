@@ -16,21 +16,6 @@ util::CpuMhz Domain::offered_cpu_load(util::Seconds now) const {
   return load;
 }
 
-util::CpuMhz Domain::offered_cpu_load_recomputed(util::Seconds now) const {
-  // Reference implementation (the seed's per-arrival rescan). Counts held
-  // jobs too: they still occupy this world until the handoff detaches
-  // them, matching when account_job_removed fires.
-  util::CpuMhz load{0.0};
-  for (util::JobId id : world_.job_order()) {
-    const workload::Job& job = world_.job(id);
-    if (job.phase() != workload::JobPhase::kCompleted) load += job.spec().max_speed;
-  }
-  for (const workload::TxApp& app : world_.apps()) {
-    load += app.offered_load(now);
-  }
-  return load;
-}
-
 void Domain::account_job_added(util::CpuMhz max_speed) {
   ++active_jobs_;
   ++speed_hist_[max_speed.get()];

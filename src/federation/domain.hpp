@@ -47,11 +47,9 @@ class Domain {
   [[nodiscard]] double weight() const { return weight_; }
   void set_weight(double w) { weight_ = w; }
 
-  /// Raw cluster CPU capacity (parked nodes included).
-  [[nodiscard]] util::CpuMhz total_cpu() const { return world_.cluster().total_capacity().cpu; }
   /// CPU placement can actually use right now: active nodes only,
-  /// P-state-scaled. Bit-identical to total_cpu() while the power
-  /// subsystem is idle or disabled.
+  /// P-state-scaled. Bit-identical to the raw cluster CPU while the
+  /// power subsystem is idle or disabled.
   [[nodiscard]] util::CpuMhz placeable_cpu() const {
     return world_.cluster().placeable_capacity().cpu;
   }
@@ -67,11 +65,6 @@ class Domain {
   /// (updated on submit / completion / cross-domain handoff) so the
   /// router's per-arrival status snapshot does not rescan every job.
   [[nodiscard]] util::CpuMhz offered_cpu_load(util::Seconds now) const;
-
-  /// Same quantity recomputed from scratch over the job population —
-  /// the reference the incremental aggregates are pinned against in
-  /// tests (and nothing else should call; it is O(jobs)).
-  [[nodiscard]] util::CpuMhz offered_cpu_load_recomputed(util::Seconds now) const;
 
   [[nodiscard]] std::size_t active_job_count() const {
     return static_cast<std::size_t>(active_jobs_);

@@ -210,12 +210,6 @@ std::size_t Federation::total_completed() const {
   return n;
 }
 
-util::CpuMhz Federation::total_capacity() const {
-  util::CpuMhz total{0.0};
-  for (const auto& d : domains_) total += d->total_cpu();
-  return total;
-}
-
 std::vector<DomainStatus> Federation::status(util::Seconds now) const {
   std::vector<DomainStatus> out;
   out.reserve(domains_.size());
@@ -223,12 +217,9 @@ std::vector<DomainStatus> Federation::status(util::Seconds now) const {
     DomainStatus s;
     s.index = d->index();
     s.weight = d->weight();
-    s.capacity = d->total_cpu();
     s.effective = d->effective_cpu();
     s.offered_load = d->offered_cpu_load(now);
-    s.active_jobs = d->active_job_count();
     if (transfer_queue_probe_) s.outbound_transfers_queued = transfer_queue_probe_(d->index());
-    if (power_probe_) s.power_draw_w = power_probe_(d->index());
     // Per-class headroom for constraint-aware routing; scalar domains
     // leave both vectors empty and routers fall back to `effective`.
     const auto& reg = d->world().cluster().classes();

@@ -117,13 +117,6 @@ class Federation {
     transfer_queue_probe_ = std::move(probe);
   }
 
-  /// Probe for per-domain live power draw (W), registered by the
-  /// experiment runner when the power subsystem is enabled (each domain's
-  /// PowerManager owns its EnergyMeter). When set, status() fills
-  /// DomainStatus::power_draw_w from it.
-  using PowerProbe = std::function<double(std::size_t domain)>;
-  void set_power_probe(PowerProbe probe) { power_probe_ = std::move(probe); }
-
   /// Observer of domain weight changes (old weight, new weight), invoked
   /// after the weight is applied and demand re-split. The migration
   /// manager uses it to cancel queued evacuation transfers when a
@@ -135,7 +128,6 @@ class Federation {
 
   [[nodiscard]] std::size_t total_submitted() const;
   [[nodiscard]] std::size_t total_completed() const;
-  [[nodiscard]] util::CpuMhz total_capacity() const;
 
   /// Router-facing snapshot of every domain at time `now`.
   [[nodiscard]] std::vector<DomainStatus> status(util::Seconds now) const;
@@ -160,7 +152,6 @@ class Federation {
   obs::ObsContext obs_;
   obs::Counter* routed_jobs_metric_{nullptr};
   TransferQueueProbe transfer_queue_probe_;
-  PowerProbe power_probe_;
   WeightObserver weight_observer_;
   bool started_{false};
 };

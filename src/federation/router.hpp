@@ -23,26 +23,21 @@
 
 namespace heteroplace::federation {
 
-/// Read-only per-domain signals routers decide on. `weight` is the
-/// operator-set health multiplier (1 = healthy, 0 = drained); routers see
-/// capacity both raw and weight-scaled.
+/// Read-only per-domain signals routers and migration policies decide
+/// on. `weight` is the operator-set health multiplier (1 = healthy,
+/// 0 = drained).
 struct DomainStatus {
   std::size_t index{0};
   double weight{1.0};
-  util::CpuMhz capacity{0.0};      // raw cluster CPU (parked nodes included)
   /// Placeable capacity × weight: parked/transitioning nodes excluded
   /// and P-state scaling applied, so a consolidated domain does not
-  /// masquerade as headroom. Equals capacity × weight at full power.
+  /// masquerade as headroom. Equals raw cluster CPU × weight at full
+  /// power.
   util::CpuMhz effective{0.0};
   util::CpuMhz offered_load{0.0};  // active-job speed caps + tx offered CPU
-  std::size_t active_jobs{0};
   /// Outbound migration transfers queued behind this domain's contended
   /// links (0 when migration is off; see Federation::set_transfer_queue_probe).
   std::size_t outbound_transfers_queued{0};
-  /// Live power draw of the domain's cluster in watts (0 when the power
-  /// subsystem is off; see Federation::set_power_probe). Energy-aware
-  /// routers can prefer domains with headroom under their power caps.
-  double power_draw_w{0.0};
   /// Machine-class table and per-class weight-scaled placeable CPU
   /// (parallel vectors indexed by ClassId). Both empty when the domain's
   /// cluster has no explicit classes — the scalar case pays nothing and

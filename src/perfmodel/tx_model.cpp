@@ -1,34 +1,8 @@
 #include "perfmodel/tx_model.hpp"
 
-#include <algorithm>
 #include <limits>
 
 namespace heteroplace::perfmodel {
-
-TxPerfResult evaluate_tx(double lambda, double service_demand, util::CpuMhz capacity,
-                         double rho_cap) {
-  TxPerfResult r;
-  r.offered_rate = lambda;
-  if (capacity.get() <= 0.0 || service_demand <= 0.0) {
-    r.admitted_rate = 0.0;
-    r.throughput_ratio = lambda > 0.0 ? 0.0 : 1.0;
-    r.utilization = 0.0;
-    r.response_time = util::Seconds{std::numeric_limits<double>::infinity()};
-    r.saturated = lambda > 0.0;
-    return r;
-  }
-
-  const double mu = capacity.get() / service_demand;  // service rate (req/s)
-  const double admit_cap = rho_cap * mu;
-  r.admitted_rate = std::min(lambda, admit_cap);
-  r.saturated = lambda > admit_cap;
-  r.throughput_ratio = lambda > 0.0 ? r.admitted_rate / lambda : 1.0;
-  r.utilization = r.admitted_rate / mu;
-  // M/G/1-PS mean response time on admitted traffic. Guaranteed finite:
-  // admitted utilization <= rho_cap < 1.
-  r.response_time = util::Seconds{1.0 / (mu - r.admitted_rate)};
-  return r;
-}
 
 util::CpuMhz capacity_for_response_time(double lambda, double service_demand, util::Seconds rt) {
   if (rt.get() <= 0.0) return util::CpuMhz{std::numeric_limits<double>::infinity()};

@@ -9,6 +9,9 @@
 // controller + queueing predictor of the paper's transactional framework
 // ([2], NOMS 2008).
 
+#include <algorithm>
+#include <limits>
+
 #include "util/units.hpp"
 #include "workload/transactional.hpp"
 
@@ -27,8 +30,33 @@ struct TxPerfResult {
 /// (MHz·s), allocated capacity `capacity`, and flow-control cap `rho_cap`.
 ///
 /// capacity <= 0 yields a fully-shed, infinitely slow result.
-[[nodiscard]] TxPerfResult evaluate_tx(double lambda, double service_demand,
-                                       util::CpuMhz capacity, double rho_cap);
+///
+/// Inline because the equalizer evaluates it inside nested bisections
+/// (through utility::TxCurve) dozens of times per consumer per cycle.
+[[nodiscard]] inline TxPerfResult evaluate_tx(double lambda, double service_demand,
+                                              util::CpuMhz capacity, double rho_cap) {
+  TxPerfResult r;
+  r.offered_rate = lambda;
+  if (capacity.get() <= 0.0 || service_demand <= 0.0) {
+    r.admitted_rate = 0.0;
+    r.throughput_ratio = lambda > 0.0 ? 0.0 : 1.0;
+    r.utilization = 0.0;
+    r.response_time = util::Seconds{std::numeric_limits<double>::infinity()};
+    r.saturated = lambda > 0.0;
+    return r;
+  }
+
+  const double mu = capacity.get() / service_demand;  // service rate (req/s)
+  const double admit_cap = rho_cap * mu;
+  r.admitted_rate = std::min(lambda, admit_cap);
+  r.saturated = lambda > admit_cap;
+  r.throughput_ratio = lambda > 0.0 ? r.admitted_rate / lambda : 1.0;
+  r.utilization = r.admitted_rate / mu;
+  // M/G/1-PS mean response time on admitted traffic. Guaranteed finite:
+  // admitted utilization <= rho_cap < 1.
+  r.response_time = util::Seconds{1.0 / (mu - r.admitted_rate)};
+  return r;
+}
 
 /// Capacity that yields a target mean response time at the given load
 /// (ignoring flow control — valid for rt below the flow-control regime):

@@ -43,13 +43,6 @@ BisectResult bisect_increasing(const std::function<double(double)>& f, double lo
   return r;
 }
 
-double invert_increasing(const std::function<double(double)>& g, double target, double lo,
-                         double hi, double x_tol, int max_iter) {
-  const auto res =
-      bisect_increasing([&](double x) { return g(x) - target; }, lo, hi, x_tol, max_iter);
-  return std::clamp(res.x, lo, hi);
-}
-
 double invert_decreasing(const std::function<double(double)>& g, double target, double lo,
                          double hi, double x_tol, int max_iter) {
   const auto res =

@@ -35,14 +35,9 @@ struct BisectResult {
 [[nodiscard]] BisectResult bisect_increasing(const std::function<double(double)>& f, double lo,
                                              double hi, double x_tol = 1e-9, int max_iter = 200);
 
-/// Invert a monotone non-decreasing function g on [lo, hi]: find x with
-/// g(x) ~= target. If target <= g(lo) returns lo; if target >= g(hi)
+/// Invert a monotone non-increasing function g on [lo, hi]: find x with
+/// g(x) ~= target. If target >= g(lo) returns lo; if target <= g(hi)
 /// returns hi.
-[[nodiscard]] double invert_increasing(const std::function<double(double)>& g, double target,
-                                       double lo, double hi, double x_tol = 1e-9,
-                                       int max_iter = 200);
-
-/// Invert a monotone non-increasing function g on [lo, hi].
 [[nodiscard]] double invert_decreasing(const std::function<double(double)>& g, double target,
                                        double lo, double hi, double x_tol = 1e-9,
                                        int max_iter = 200);

@@ -1,6 +1,5 @@
 #include "utility/job_utility.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -48,14 +47,8 @@ util::CpuMhz JobUtilityModel::speed_for_utility(const workload::Job& job, util::
   const double importance = spec.importance > 0.0 ? spec.importance : 1.0;
   // Largest completion ratio that still yields (weighted) utility u.
   const double x = fn_->inverse(u * importance);
-  const double completion = spec.submit_time.get() + x * spec.completion_goal.get();
-  const double horizon = completion - now.get();
-  if (horizon <= 0.0) {
-    // Even instant completion misses the target utility: demand the max.
-    return spec.max_speed;
-  }
-  const double speed = job.remaining().get() / horizon;
-  return util::CpuMhz{std::clamp(speed, 0.0, spec.max_speed.get())};
+  return util::CpuMhz{speed_for_ratio(x, spec.submit_time.get(), spec.completion_goal.get(),
+                                      now.get(), job.remaining().get(), spec.max_speed.get())};
 }
 
 double JobUtilityModel::max_achievable_utility(const workload::Job& job,

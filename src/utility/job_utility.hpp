@@ -6,6 +6,7 @@
 // speed ω — and the inverse (speed needed for a target utility), which is
 // what the equalizer consumes.
 
+#include <algorithm>
 #include <memory>
 
 #include "util/units.hpp"
@@ -13,6 +14,20 @@
 #include "workload/job.hpp"
 
 namespace heteroplace::utility {
+
+/// The job inverse once the utility function has been inverted: the
+/// speed that finishes `remaining` work by the absolute time at
+/// completion ratio `x` (submit + x·goal), clamped to [0, max_speed];
+/// max_speed when that time is already past. Inline: the equalizer calls
+/// it per job per bisection step.
+[[nodiscard]] inline double speed_for_ratio(double x, double submit, double goal, double now,
+                                            double remaining, double max_speed) {
+  const double completion = submit + x * goal;
+  const double horizon = completion - now;
+  // Even instant completion misses the target utility: demand the max.
+  if (horizon <= 0.0) return max_speed;
+  return std::clamp(remaining / horizon, 0.0, max_speed);
+}
 
 class JobUtilityModel {
  public:

@@ -16,9 +16,33 @@
 
 namespace heteroplace::utility {
 
+/// One app's utility curve at a fixed arrival rate λ > 0, as flat
+/// parameters. This is the only implementation of the transactional
+/// curve: TxUtilityModel delegates to it, and the equalizer snapshots
+/// one per app per call and evaluates it directly.
+struct TxCurve {
+  double lambda{0.0};
+  double service_demand{0.0};
+  double rt_goal{0.0};
+  double utility_cap{0.0};
+  double rho_cap{0.0};
+  double throughput_exponent{0.0};
+  double importance{1.0};
+  double demand_hi{0.0};  // CPU that reaches utility_cap (demand_for_max_utility)
+
+  /// Importance-weighted utility with `alloc` MHz of CPU.
+  [[nodiscard]] double utility(double alloc) const;
+
+  /// Minimum CPU achieving utility `u`, clamped to [0, demand_hi].
+  [[nodiscard]] double alloc_for_utility(double u) const;
+};
+
 class TxUtilityModel {
  public:
   TxUtilityModel() = default;
+
+  /// The curve of app `spec` at arrival rate `lambda` (> 0).
+  [[nodiscard]] TxCurve curve(const workload::TxAppSpec& spec, double lambda) const;
 
   /// Utility of app `spec` at arrival rate `lambda` with `alloc` CPU.
   [[nodiscard]] double utility(const workload::TxAppSpec& spec, double lambda,
@@ -35,11 +59,6 @@ class TxUtilityModel {
   /// series of the paper's Figure 2.
   [[nodiscard]] util::CpuMhz demand_for_max_utility(const workload::TxAppSpec& spec,
                                                     double lambda) const;
-
- private:
-  /// Utility without the importance weight.
-  [[nodiscard]] double raw_utility(const workload::TxAppSpec& spec, double lambda,
-                                   util::CpuMhz alloc) const;
 };
 
 }  // namespace heteroplace::utility

@@ -195,11 +195,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EqualizerFuzz,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 42u));
 
 // ---- Curve-cache vs. virtual-dispatch equivalence ---------------------------
-// The flat-array hot loop (EqualizerOptions::use_curve_cache, the
-// default) mirrors JobUtilityModel::speed_for_utility and
-// TxUtilityModel::alloc_for_utility operation for operation, so with
-// jobs preceding apps in the consumer vector the two paths sum in the
-// same order and must agree exactly.
+// equalize() evaluates consumers that export CurveParams from flat
+// arrays, with the fn⁻¹ inversion shared per (fn, importance) group. A
+// VirtualOnly wrapper hides the params, so the same consumers go through
+// per-consumer virtual dispatch instead. Both call the same utility::
+// curve functions, and with consumers ordered jobs, then apps, then
+// generic (the order the flat path sums in) the two must agree exactly.
 
 #include "utility/job_utility.hpp"
 #include "utility/tx_utility.hpp"
@@ -208,6 +209,24 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EqualizerFuzz,
 
 namespace {
 
+/// Forwards `inner`'s virtual curve and exports no curve params.
+class VirtualOnly final : public UtilityConsumer {
+ public:
+  explicit VirtualOnly(const UtilityConsumer& inner) : inner_(&inner) {}
+
+  double utility_at(CpuMhz alloc) const override { return inner_->utility_at(alloc); }
+  CpuMhz alloc_for_utility(double u) const override { return inner_->alloc_for_utility(u); }
+  CpuMhz demand_max() const override { return inner_->demand_max(); }
+  double utility_max() const override { return inner_->utility_max(); }
+  ConsumerKind kind() const override { return inner_->kind(); }
+
+ private:
+  const UtilityConsumer* inner_;
+};
+
+/// Every CurveParams form: jobs (a third of them speed-capped below
+/// max_speed), apps (one whose flow control binds, one with no load)
+/// and a generic consumer last.
 struct RealPopulation {
   std::vector<heteroplace::workload::Job> jobs;
   std::vector<heteroplace::workload::TxApp> apps;
@@ -215,6 +234,7 @@ struct RealPopulation {
   heteroplace::utility::TxUtilityModel tx_model;
   std::vector<heteroplace::core::JobConsumer> jc;
   std::vector<heteroplace::core::TxConsumer> tc;
+  LinearConsumer generic{5000.0, 0.9, 2.0};
   std::vector<const UtilityConsumer*> consumers;
 
   RealPopulation(int n_jobs, int n_apps, std::uint64_t seed) {
@@ -239,12 +259,37 @@ struct RealPopulation {
       spec.importance = rng.chance(0.5) ? 1.5 : 1.0;
       apps.emplace_back(spec, workload::DemandTrace{rng.uniform(5.0, 40.0)});
     }
+    {
+      // Flow control binds below λ·d/ρ = 240000 MHz, above this app's
+      // demand ceiling (135000 MHz), and utility turns positive above
+      // d / (T·(1 − ρ)) = 3000 MHz: the throughput penalty τ^κ shapes
+      // the whole positive part of the curve.
+      workload::TxAppSpec spec;
+      spec.id = util::AppId{static_cast<unsigned>(n_apps)};
+      spec.rt_goal = util::Seconds{2.0};
+      spec.service_demand = 3000.0;
+      spec.max_utilization = 0.5;
+      spec.throughput_exponent = 2.0;
+      apps.emplace_back(spec, workload::DemandTrace{40.0});
+    }
+    {
+      workload::TxAppSpec spec;  // λ = 0: a kZero consumer
+      spec.id = util::AppId{static_cast<unsigned>(n_apps + 1)};
+      apps.emplace_back(spec, workload::DemandTrace{0.0});
+    }
     jc.reserve(jobs.size());
     tc.reserve(apps.size());
-    for (const auto& j : jobs) jc.emplace_back(j, job_model, now);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (i % 3 == 0) {
+        jc.emplace_back(jobs[i], job_model, now, CpuMhz{2000.0});
+      } else {
+        jc.emplace_back(jobs[i], job_model, now);
+      }
+    }
     for (const auto& app : apps) tc.emplace_back(app, tx_model, now);
     for (const auto& c : jc) consumers.push_back(&c);
     for (const auto& c : tc) consumers.push_back(&c);
+    consumers.push_back(&generic);
   }
 };
 
@@ -252,50 +297,28 @@ struct RealPopulation {
 
 TEST(EqualizerCurveCache, MatchesVirtualPathExactlyOnRealConsumers) {
   RealPopulation pop(/*n_jobs=*/60, /*n_apps=*/4, /*seed=*/91u);
-  for (const double capacity : {20000.0, 60000.0, 120000.0}) {
-    core::EqualizerOptions fast;
-    fast.use_curve_cache = true;
-    core::EqualizerOptions slow;
-    slow.use_curve_cache = false;
-    const auto rf = core::equalize(pop.consumers, CpuMhz{capacity}, fast);
-    const auto rs = core::equalize(pop.consumers, CpuMhz{capacity}, slow);
-    EXPECT_DOUBLE_EQ(rf.u_star, rs.u_star) << "capacity " << capacity;
+  std::vector<VirtualOnly> wrapped;
+  wrapped.reserve(pop.consumers.size());
+  for (const auto* c : pop.consumers) wrapped.emplace_back(*c);
+  std::vector<const UtilityConsumer*> reference;
+  for (const auto& w : wrapped) reference.push_back(&w);
+
+  // The apps dominate the ~1.28e6 MHz total demand; only the two
+  // largest capacities lift u* far enough to saturate capped jobs.
+  for (const double capacity : {20000.0, 60000.0, 120000.0, 300000.0, 600000.0}) {
+    const auto rf = core::equalize(pop.consumers, CpuMhz{capacity});
+    const auto rs = core::equalize(reference, CpuMhz{capacity});
+    EXPECT_TRUE(rf.contended) << "capacity " << capacity;
+    EXPECT_EQ(rf.u_star, rs.u_star) << "capacity " << capacity;
     EXPECT_EQ(rf.contended, rs.contended);
     EXPECT_EQ(rf.iterations, rs.iterations);
     ASSERT_EQ(rf.allocations.size(), rs.allocations.size());
     for (std::size_t i = 0; i < rf.allocations.size(); ++i) {
-      EXPECT_DOUBLE_EQ(rf.allocations[i].alloc.get(), rs.allocations[i].alloc.get())
+      EXPECT_EQ(rf.allocations[i].alloc.get(), rs.allocations[i].alloc.get())
           << "capacity " << capacity << " consumer " << i;
-      EXPECT_DOUBLE_EQ(rf.allocations[i].utility, rs.allocations[i].utility)
+      EXPECT_EQ(rf.allocations[i].utility, rs.allocations[i].utility)
           << "capacity " << capacity << " consumer " << i;
     }
-    EXPECT_DOUBLE_EQ(rf.total.get(), rs.total.get());
+    EXPECT_EQ(rf.total.get(), rs.total.get());
   }
-}
-
-TEST(EqualizerCurveCache, GenericConsumersKeepVirtualSemantics) {
-  // Consumers that export no closed form (like this file's
-  // LinearConsumer) must behave identically under both flags.
-  std::vector<LinearConsumer> cs = {{3000.0, 0.9, 1.5}, {1000.0, 0.8, 3.0}, {2000.0, 1.0, 2.0}};
-  core::EqualizerOptions fast;
-  fast.use_curve_cache = true;
-  core::EqualizerOptions slow;
-  slow.use_curve_cache = false;
-  const auto rf = core::equalize(ptrs(cs), CpuMhz{3000.0}, fast);
-  const auto rs = core::equalize(ptrs(cs), CpuMhz{3000.0}, slow);
-  EXPECT_DOUBLE_EQ(rf.u_star, rs.u_star);
-  for (std::size_t i = 0; i < cs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(rf.allocations[i].alloc.get(), rs.allocations[i].alloc.get());
-  }
-}
-
-// u_tolerance = 0 is legal: the bisection stops on max_iterations alone.
-TEST(EqualizerBisection, ZeroToleranceTerminates) {
-  std::vector<LinearConsumer> cs = {{2000.0, 1.0, 2.0}, {2000.0, 1.0, 2.0}};
-  core::EqualizerOptions opts;
-  opts.u_tolerance = 0.0;
-  const auto r = core::equalize(ptrs(cs), CpuMhz{2000.0}, opts);
-  EXPECT_TRUE(r.contended);
-  EXPECT_EQ(r.iterations, opts.max_iterations);
-  EXPECT_NEAR(r.u_star, core::equalize(ptrs(cs), CpuMhz{2000.0}).u_star, 1e-4);
 }

@@ -338,7 +338,6 @@ std::vector<federation::DomainStatus> make_status(const std::vector<double>& cap
   for (std::size_t i = 0; i < capacities.size(); ++i) {
     federation::DomainStatus s;
     s.index = i;
-    s.capacity = util::CpuMhz{capacities[i]};
     s.effective = util::CpuMhz{capacities[i]};
     s.offered_load = util::CpuMhz{loads[i]};
     out.push_back(s);

@@ -482,7 +482,7 @@ TEST(PowerScenario, ParkedEnergyStrictlyBelowAlwaysOnWithSlaHeld) {
   EXPECT_EQ(parked.summary.invariant_violations, 0);
 }
 
-TEST(PowerScenario, DomainStatusCarriesLivePowerDraw) {
+TEST(PowerScenario, DomainStatusEffectiveExcludesParkedNodes) {
   sim::Engine engine;
   federation::Federation fed(engine, federation::make_router("least-loaded"));
   auto& d0 = fed.add_domain("d0", std::make_unique<core::UtilityDrivenPolicy>(
@@ -490,19 +490,11 @@ TEST(PowerScenario, DomainStatusCarriesLivePowerDraw) {
                                       std::make_shared<utility::TxUtilityModel>()));
   d0.world().cluster().add_nodes(2, cluster::Resources{12000_mhz, 4096_mb});
 
-  power::PowerManager mgr(engine, d0.world(), power::PowerModel::ladder(150.0, 1),
-                          power::make_consolidation_policy("none"));
-  // Without a probe the field is zero; with one it reports the meter.
-  EXPECT_DOUBLE_EQ(fed.status(0_s)[0].power_draw_w, 0.0);
-  fed.set_power_probe([&mgr](std::size_t) { return mgr.current_draw_w(); });
-  EXPECT_DOUBLE_EQ(fed.status(0_s)[0].power_draw_w, 300.0);
-
-  // Parked capacity is invisible to routers: capacity stays raw, but
-  // effective drops to the placeable share so a consolidated domain does
-  // not masquerade as headroom.
+  // Parked capacity is invisible to routers: effective drops to the
+  // placeable share so a consolidated domain does not masquerade as
+  // headroom.
   EXPECT_DOUBLE_EQ(fed.status(0_s)[0].effective.get(), 24000.0);
   d0.world().cluster().node(util::NodeId{1}).set_power_state(PowerState::kParked);
-  EXPECT_DOUBLE_EQ(fed.status(0_s)[0].capacity.get(), 24000.0);
   EXPECT_DOUBLE_EQ(fed.status(0_s)[0].effective.get(), 12000.0);
 }
 
